@@ -26,29 +26,26 @@
     - A bounded number of discrete changes may occur per instant;
       exceeding it raises {!Zeno} (the paper assumes non-zeno automata).
 
-    Hot-path organisation (PR 9, "scale to N >= 1000"): the event queue
-    is a binary min-heap ordered by [(due, seq)] with lazy-delete
-    tombstones (push O(log n), cancel O(1) amortised); automata live in
-    a flat array indexed by int with the name->index table only at the
-    API boundary; every location carries a precomputed dispatch index
+    Hot-path organisation (built for N >= 1000): one timeline — a
+    {!Pte_util.Heap} of pending deliveries and timers keyed by due time,
+    whose FIFO tie-break is the insertion order — with a table of live
+    tokens for O(1) cancel (a cancelled entry stays in the heap as a
+    tombstone and is skipped when it surfaces); automata live in a flat
+    array indexed by int with the name->index table only at the API
+    boundary; every location carries a precomputed dispatch index
     (trigger-root -> edges, cached eager/spontaneous arrays); and
     {!stabilize} re-chases only {e active} automata — those that fired,
     received a message or whose location is time-sensitive — instead of
-    scanning the whole system every fixpoint round. Because [seq] is the
-    insertion order and breaks [due] ties exactly as the old sorted list
-    did, and quiescent automata contribute nothing to a fixpoint round,
-    traces are byte-identical to the pre-heap executor (the legacy
-    sorted-list engine survives as [~queue:`Legacy_list] for the S1
-    benchmark baseline and differential tests). *)
+    scanning the whole system every fixpoint round. Quiescent automata
+    contribute nothing to a fixpoint round, so the trace equals the one
+    of a full-scan sorted-list engine (pinned by a recorded trace in
+    the test suite). *)
 
 exception Time_block of { automaton : string; location : string; time : float }
 exception Zeno of { automaton : string; time : float }
 
 type route_decision =
   | Deliver of float  (** deliver after the given delay (seconds) *)
-  | Deliver_many of float list
-      (** deliver one copy per delay — duplicated frames (fault
-          injection); an empty list is equivalent to [Lose] *)
   | Lose
   | Deferred
       (** the router has taken ownership of the send: it will schedule
@@ -73,8 +70,6 @@ type config = {
 
 let default_config =
   { dt = 1e-3; max_chain = 64; sample_vars = []; sample_period = 1.0 }
-
-type queue_kind = [ `Heap | `Legacy_list ]
 
 (* Per-location dispatch index, precomputed at {!create}: the edge
    subsets the hot path needs, in declaration order (so "first enabled
@@ -114,7 +109,10 @@ type t = {
   index : (string, int) Hashtbl.t;  (* automaton name -> states index *)
   listeners : (string, int array) Hashtbl.t;
       (* root -> listener indices, in system declaration order *)
-  queue : queue;
+  pending : pending Pte_util.Heap.t;  (* keyed by due time *)
+  live : (int, unit) Hashtbl.t;
+      (* tokens queued and not cancelled; cancel = remove (a tombstone),
+         pops skip entries whose token is no longer live *)
   mutable next_token : int;
   mutable events : int;  (* deliveries + timer firings + transitions *)
   recorder : Trace.Recorder.recorder;
@@ -122,131 +120,15 @@ type t = {
   mutable next_sample : float;
 }
 
-and pending = { due : float; seq : int; owner : string; payload : payload }
+and pending = { token : int; owner : string; payload : payload }
 (* [owner]: the automaton blamed in Zeno diagnostics — the receiver for
    messages, the automaton whose exchange armed the timer for timers. *)
 
 and payload =
   | Message of { receiver : int; root : string }
-      (* a scheduled arrival: deliver [root] to [receiver] at [due] *)
+      (* a scheduled arrival: deliver [root] to [receiver] at its due time *)
   | Timer of (t -> unit)
       (* a scheduled callback (e.g. a transport retransmission timer) *)
-
-and queue = Heap of heap | Legacy_list of legacy_list
-
-and heap = {
-  mutable arr : pending array;  (* slots [0, len) hold the heap *)
-  mutable len : int;
-  live : (int, unit) Hashtbl.t;
-      (* seqs queued and not cancelled; cancel = remove (a tombstone),
-         pop skips entries whose seq is no longer live *)
-}
-
-and legacy_list = { mutable items : pending list (* sorted by (due, seq) *) }
-
-(* {2 The event queue}
-
-   Min-heap ordered by [(due, seq)]: [seq] is the global insertion
-   counter, so due-ties pop in insertion order — exactly the order the
-   legacy sorted list maintained. *)
-
-let dummy_pending =
-  { due = 0.0; seq = -1; owner = "<none>"; payload = Timer (fun _ -> ()) }
-
-let pending_before a b = a.due < b.due || (a.due = b.due && a.seq < b.seq)
-
-let heap_push h item =
-  let cap = Array.length h.arr in
-  if h.len = cap then begin
-    let arr = Array.make (2 * cap) dummy_pending in
-    Array.blit h.arr 0 arr 0 h.len;
-    h.arr <- arr
-  end;
-  let i = ref h.len in
-  h.len <- h.len + 1;
-  h.arr.(!i) <- item;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if pending_before h.arr.(!i) h.arr.(parent) then begin
-      let tmp = h.arr.(parent) in
-      h.arr.(parent) <- h.arr.(!i);
-      h.arr.(!i) <- tmp;
-      i := parent
-    end
-    else continue := false
-  done
-
-(* Remove the root (precondition: [h.len > 0]), restoring heap order. *)
-let heap_drop_root h =
-  h.len <- h.len - 1;
-  h.arr.(0) <- h.arr.(h.len);
-  h.arr.(h.len) <- dummy_pending (* release the callback closure *);
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < h.len && pending_before h.arr.(l) h.arr.(!smallest) then
-      smallest := l;
-    if r < h.len && pending_before h.arr.(r) h.arr.(!smallest) then
-      smallest := r;
-    if !smallest <> !i then begin
-      let tmp = h.arr.(!smallest) in
-      h.arr.(!smallest) <- h.arr.(!i);
-      h.arr.(!i) <- tmp;
-      i := !smallest
-    end
-    else continue := false
-  done
-
-(* The live minimum, discarding cancelled (tombstoned) entries. *)
-let rec heap_peek h =
-  if h.len = 0 then None
-  else
-    let root = h.arr.(0) in
-    if Hashtbl.mem h.live root.seq then Some root
-    else begin
-      heap_drop_root h;
-      heap_peek h
-    end
-
-(* Pop the next live entry due at or before [deadline], if any. *)
-let queue_pop_due q ~deadline =
-  match q with
-  | Heap h -> (
-      match heap_peek h with
-      | Some p when p.due <= deadline ->
-          Hashtbl.remove h.live p.seq;
-          heap_drop_root h;
-          Some p
-      | Some _ | None -> None)
-  | Legacy_list l -> (
-      match l.items with
-      | p :: rest when p.due <= deadline ->
-          l.items <- rest;
-          Some p
-      | _ -> None)
-
-let queue_insert q item =
-  match q with
-  | Heap h ->
-      Hashtbl.replace h.live item.seq ();
-      heap_push h item
-  | Legacy_list l ->
-      let rec insert = function
-        | [] -> [ item ]
-        | hd :: tl as all ->
-            if hd.due > item.due || (hd.due = item.due && hd.seq > item.seq)
-            then item :: all
-            else hd :: insert tl
-      in
-      l.items <- insert l.items
-
-let queue_cancel q token =
-  match q with
-  | Heap h -> Hashtbl.remove h.live token
-  | Legacy_list l -> l.items <- List.filter (fun p -> p.seq <> token) l.items
 
 (* {2 Construction} *)
 
@@ -326,7 +208,7 @@ let build_state ix (a : Automaton.t) =
     active = true;
   }
 
-let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
+let create ?(config = default_config) ?trace_sink system =
   let system = System.validate_exn system in
   let recorder = Trace.Recorder.create ?sink:trace_sink () in
   let automata = Array.of_list system.System.automata in
@@ -361,13 +243,6 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
              location = st.info.loc.Location.name;
            }))
     states;
-  let queue =
-    match queue with
-    | `Heap ->
-        Heap
-          { arr = Array.make 64 dummy_pending; len = 0; live = Hashtbl.create 64 }
-    | `Legacy_list -> Legacy_list { items = [] }
-  in
   {
     system;
     config;
@@ -375,7 +250,10 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     states;
     index;
     listeners = listeners_arr;
-    queue;
+    pending =
+      Pte_util.Heap.create
+        ~dummy:{ token = -1; owner = "<none>"; payload = Timer ignore };
+    live = Hashtbl.create 64;
     next_token = 0;
     events = 0;
     recorder;
@@ -457,10 +335,13 @@ let rate t name = (state t name).rate
 let push t ~due ~owner payload =
   if not (Float.is_finite due) then
     Fmt.invalid_arg "executor: event due time must be finite, got %g" due;
-  let item = { due; seq = t.next_token; owner; payload } in
-  t.next_token <- t.next_token + 1;
-  queue_insert t.queue item;
-  item.seq
+  (* the heap's FIFO counter advances once per push, in step with
+     [next_token], so due-ties pop in token (insertion) order *)
+  let token = t.next_token in
+  t.next_token <- token + 1;
+  Hashtbl.replace t.live token ();
+  Pte_util.Heap.push t.pending due { token; owner; payload };
+  token
 
 let enqueue t ~due ~receiver ~root =
   let owner = t.states.(receiver).automaton.Automaton.name in
@@ -474,10 +355,9 @@ let enqueue t ~due ~receiver ~root =
     can cancel the pending retransmission before the channel sees it.
     [owner] names the automaton whose exchange armed the timer — it is
     blamed in Zeno diagnostics instead of the anonymous ["<timer>"].
-    Raises [Invalid_argument] when [at] is NaN or infinite: the old
-    sorted-list queue silently accepted such timers and they could never
-    fire ([Float.max nan now] is NaN), wedging the exchange and leaking
-    the cancel token. *)
+    Raises [Invalid_argument] when [at] is NaN or infinite: such a timer
+    could never fire ([Float.max nan now] is NaN), wedging the exchange
+    and leaking the cancel token. *)
 let schedule t ?(owner = "<timer>") ~at f =
   if not (Float.is_finite at) then
     Fmt.invalid_arg "executor: timer due time must be finite, got %g" at;
@@ -485,7 +365,20 @@ let schedule t ?(owner = "<timer>") ~at f =
 
 (** Revoke a scheduled timer or arrival before it fires. Unknown or
     already-fired tokens are ignored (cancellation is idempotent). *)
-let cancel t token = queue_cancel t.queue token
+let cancel t token = Hashtbl.remove t.live token
+
+(* Pop the next live entry due at or before [deadline], if any,
+   discarding the cancelled entries (tombstones) that surface first. *)
+let rec pop_due t ~deadline =
+  match Pte_util.Heap.peek t.pending with
+  | Some (_, p) when not (Hashtbl.mem t.live p.token) ->
+      ignore (Pte_util.Heap.pop t.pending);
+      pop_due t ~deadline
+  | Some (due, p) when due <= deadline ->
+      ignore (Pte_util.Heap.pop t.pending);
+      Hashtbl.remove t.live p.token;
+      Some p
+  | Some _ | None -> None
 
 let broadcast t ~sender ~root =
   let sender_name = t.states.(sender).automaton.Automaton.name in
@@ -498,14 +391,8 @@ let broadcast t ~sender ~root =
           if ix <> sender then begin
             let receiver = t.states.(ix).automaton.Automaton.name in
             match t.router ~time:t.now ~sender:sender_name ~root ~receiver with
-            | Lose | Deliver_many [] ->
-                record t (Trace.Message_lost { receiver; root })
+            | Lose -> record t (Trace.Message_lost { receiver; root })
             | Deliver delay -> enqueue t ~due:(t.now +. delay) ~receiver:ix ~root
-            | Deliver_many delays ->
-                List.iter
-                  (fun delay ->
-                    enqueue t ~due:(t.now +. delay) ~receiver:ix ~root)
-                  delays
             | Deferred -> ()
           end)
         ixs
@@ -600,8 +487,7 @@ let lose_now t ~receiver ~root =
    chase that reaches its fixpoint leaves nothing enabled, so skipping
    quiescent automata removes no transition; active automata are visited
    in declaration order, so the firing order (and hence the trace) is
-   exactly the full-scan order. The legacy-list engine keeps the
-   original full scan, as the benchmark baseline. *)
+   exactly the full-scan order. *)
 let stabilize t =
   let n = Array.length t.states in
   let budget = t.config.max_chain * n in
@@ -616,7 +502,7 @@ let stabilize t =
     (* due deliveries and timers, in order *)
     let deadline = t.now +. 1e-12 in
     let rec drain () =
-      match queue_pop_due t.queue ~deadline with
+      match pop_due t ~deadline with
       | Some { payload = Message { receiver; root }; _ } ->
           bump t.states.(receiver).automaton.Automaton.name;
           if deliver t ~receiver ~root then progress := true;
@@ -645,22 +531,15 @@ let stabilize t =
       in
       go 0
     in
-    match t.queue with
-    | Legacy_list _ ->
-        for i = 0 to n - 1 do
-          let st = t.states.(i) in
-          if not st.halted then chase st
-        done
-    | Heap _ ->
-        for i = 0 to n - 1 do
-          let st = t.states.(i) in
-          if st.active && not st.halted then begin
-            chase st;
-            (* fixpoint reached: nothing eager is enabled here until a
-               later delivery, mutation or continuous step re-marks it *)
-            st.active <- false
-          end
-        done
+    for i = 0 to n - 1 do
+      let st = t.states.(i) in
+      if st.active && not st.halted then begin
+        chase st;
+        (* fixpoint reached: nothing eager is enabled here until a
+           later delivery, mutation or continuous step re-marks it *)
+        st.active <- false
+      end
+    done
   done
 
 (* Advance one automaton's continuous state by [span] seconds starting at

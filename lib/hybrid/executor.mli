@@ -8,14 +8,13 @@
     plugs in the lossy wireless star). A bounded number of discrete
     changes may occur per instant.
 
-    The hot path is built for systems of 1000+ automata: a binary
-    min-heap event queue ordered by (due, insertion seq) with
-    lazy-delete tombstones, flat int-indexed automaton states with
+    The hot path is built for systems of 1000+ automata: one event
+    timeline (a {!Pte_util.Heap} ordered by (due, insertion) with
+    lazy-delete tombstones), flat int-indexed automaton states with
     per-location dispatch indices, and an activity-set stabilization
     that re-chases only automata that changed since the last fixpoint.
-    All of it is trace-equivalent (byte-identical) to the original
-    sorted-list engine, which remains available as the
-    [~queue:`Legacy_list] benchmark baseline. *)
+    Traces equal those of the original sorted-list, full-scan engine
+    (pinned by a recorded trace in the test suite). *)
 
 exception
   Time_block of { automaton : string; location : string; time : float }
@@ -27,9 +26,6 @@ exception Zeno of { automaton : string; time : float }
 
 type route_decision =
   | Deliver of float  (** deliver after the given delay (seconds) *)
-  | Deliver_many of float list
-      (** deliver one copy per delay — duplicated frames (fault
-          injection); an empty list is equivalent to [Lose] *)
   | Lose
   | Deferred
       (** the router has taken ownership of the send: it schedules the
@@ -56,16 +52,8 @@ val default_config : config
 
 type t
 
-type queue_kind = [ `Heap | `Legacy_list ]
-(** Event-queue implementation: [`Heap] (the default) is the
-    O(log n)-push min-heap with O(1)-amortised cancel; [`Legacy_list]
-    is the original O(n) sorted singly-linked list {e and} the original
-    full-scan stabilization — kept as the measured baseline of the S1
-    throughput benchmark and for differential (trace-equality) tests.
-    Both produce byte-identical traces. *)
-
-val create : ?config:config -> ?queue:queue_kind ->
-  ?trace_sink:(Trace.entry -> unit) -> System.t -> t
+val create :
+  ?config:config -> ?trace_sink:(Trace.entry -> unit) -> System.t -> t
 (** Validates the system. [trace_sink] streams entries as they happen. *)
 
 val set_router : t -> router -> unit

@@ -3,9 +3,9 @@
     remote, and {e no} direct remote-to-remote links (a send whose
     source and destination are both remotes is dropped and counted).
 
-    {!router} adapts the topology to the executor's transport hook:
-    messages whose sender or receiver is not a registered node (e.g.
-    physically co-located automata such as the patient model) are
+    {!Transport.router} adapts the topology to the executor's transport
+    hook: messages whose sender or receiver is not a registered node
+    (e.g. physically co-located automata such as the patient model) are
     delivered reliably with zero delay, i.e. treated as wired. *)
 
 type t = {
@@ -45,26 +45,6 @@ let link_for t ~sender ~receiver =
   else if is_remote t sender && String.equal receiver t.base then
     Some (List.assoc sender t.uplinks)
   else None
-
-(** Executor transport: wireless between registered nodes, wired
-    otherwise. *)
-let router t : Pte_hybrid.Executor.router =
- fun ~time ~sender ~root ~receiver ->
-  if not (is_node t sender && is_node t receiver) then
-    Pte_hybrid.Executor.Deliver 0.0
-  else
-    match link_for t ~sender ~receiver with
-    | None ->
-        (* two remotes: no direct wireless link exists *)
-        t.remote_to_remote_dropped <- t.remote_to_remote_dropped + 1;
-        Pte_hybrid.Executor.Lose
-    | Some link -> (
-        match Link.send link ~time ~src:sender ~dst:receiver ~root with
-        | Link.Deliver { arrival; _ } ->
-            Pte_hybrid.Executor.Deliver (arrival -. time)
-        | Link.Deliver_dup { arrivals = (a1, a2); _ } ->
-            Pte_hybrid.Executor.Deliver_many [ a1 -. time; a2 -. time ]
-        | Link.Drop _ -> Pte_hybrid.Executor.Lose)
 
 let all_links t =
   List.map snd t.uplinks @ List.map snd t.downlinks

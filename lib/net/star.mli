@@ -1,8 +1,8 @@
 (** The distributed sink-based wireless topology of Section II-B: one
     base station ξ0, an uplink and a downlink per remote entity, and no
-    direct remote-to-remote links. {!router} adapts the topology to the
-    executor's transport hook; non-node automata (e.g. the patient) are
-    treated as wired. *)
+    direct remote-to-remote links. The topology reaches the executor
+    through {!Transport.router}, which treats non-node automata (e.g.
+    the patient) as wired. *)
 
 type t = {
   base : string;
@@ -27,7 +27,6 @@ val create :
 val is_remote : t -> string -> bool
 val is_node : t -> string -> bool
 val link_for : t -> sender:string -> receiver:string -> Link.t option
-val router : t -> Pte_hybrid.Executor.router
 val all_links : t -> Link.t list
 
 (** Every link paired with the remote entity it serves (uplinks first,

@@ -17,12 +17,15 @@ let default_config =
   { max_retries = 3; base_rto = 0.25; multiplier = 2.0; cap = 2.0;
     jitter = 0.05 }
 
+(* Float checks are written [not (x >= bound)] so that NaN fails them. *)
 let validate c =
   if c.max_retries < 0 then Error "transport: max_retries must be >= 0"
   else if not (c.base_rto > 0.0) then Error "transport: base_rto must be > 0"
-  else if c.multiplier < 1.0 then Error "transport: multiplier must be >= 1"
-  else if c.cap < c.base_rto then Error "transport: cap must be >= base_rto"
-  else if c.jitter < 0.0 then Error "transport: jitter must be >= 0"
+  else if not (c.multiplier >= 1.0) then
+    Error "transport: multiplier must be >= 1"
+  else if not (c.cap >= c.base_rto) then
+    Error "transport: cap must be >= base_rto"
+  else if not (c.jitter >= 0.0) then Error "transport: jitter must be >= 0"
   else Ok ()
 
 (** Configuration of the [`Adaptive] mode: which static mode carries
@@ -61,6 +64,11 @@ let validate_adaptive a =
   let ( let* ) = Result.bind in
   let* () =
     match a.healthy with `Bare -> Ok () | `Reliable cfg -> validate cfg
+  in
+  let* () =
+    match a.budget with
+    | Some b when not (b >= 0.0) -> Error "transport: budget must be >= 0"
+    | Some _ | None -> Ok ()
   in
   let* () = Pte_adapt.Estimator.validate a.estimator in
   Pte_adapt.Policy.validate a.policy
@@ -518,7 +526,7 @@ let hop t ~sender ~receiver =
     | Some link -> Radio link
 
 (* ------------------------------------------------------------------ *)
-(* `Bare mode: one attempt, no ACKs — Star.router semantics plus the
+(* `Bare mode: one attempt per send, no ACKs, no RNG draws, plus the
    (src, seq) replay filter on injected duplicates.                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -952,152 +960,90 @@ let router t : Executor.router =
 (* CLI spec parsing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let mode_of_string s =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let parse_sched_fields spec =
-    let field (p : Pte_sched.Synth.policy) kv =
-      match String.index_opt kv '=' with
-      | None -> fail "transport: expected key=value, got %S" kv
-      | Some i ->
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let num set =
+(* One key=value parser for every mode's spec string. [keys] is the
+   mode's key table, in the order the unknown-key error lists them; a
+   value is a number, an integer or a word its setter parses itself. *)
+type 'a key =
+  | Num of ('a -> float -> 'a)
+  | Int of ('a -> int -> 'a)
+  | Word of ('a -> string -> ('a, string) result)
+
+let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+
+let parse_spec keys init spec =
+  let field acc kv =
+    match String.index_opt kv '=' with
+    | None -> fail "transport: expected key=value, got %S" kv
+    | Some i -> (
+        let k = String.sub kv 0 i in
+        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+        match List.assoc_opt k keys with
+        | Some (Num set) -> (
             match float_of_string_opt v with
-            | Some f -> Ok (set f)
-            | None -> fail "transport: %s expects a number, got %S" k v
-          in
-          (match k with
-          | "retries" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok { p with Pte_sched.Synth.retries = Some n }
-              | None -> fail "transport: retries expects an integer, got %S" v)
-          | "depth" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok { p with Pte_sched.Synth.depth = n }
-              | None -> fail "transport: depth expects an integer, got %S" v)
-          | "slot" -> num (fun f -> { p with Pte_sched.Synth.slot_len = Some f })
-          | "loss" -> num (fun f -> { p with Pte_sched.Synth.loss = f })
-          | "confidence" ->
-              num (fun f -> { p with Pte_sched.Synth.confidence = f })
-          | "budget" -> num (fun f -> { p with Pte_sched.Synth.budget = Some f })
-          | _ ->
-              fail
-                "transport: unknown key %S (expected \
-                 slot|retries|loss|confidence|depth|budget)"
-                k)
-    in
-    let rec go p = function
-      | [] -> Ok (`Scheduled p)
-      | kv :: rest -> (
-          match field p kv with Ok p -> go p rest | Error _ as e -> e)
-    in
-    go Pte_sched.Synth.default_policy (String.split_on_char ',' spec)
-  in
-  let parse_fields spec =
-    let field cfg kv =
-      match String.index_opt kv '=' with
-      | None -> fail "transport: expected key=value, got %S" kv
-      | Some i ->
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let num set =
-            match float_of_string_opt v with
-            | Some f -> Ok (set f)
-            | None -> fail "transport: %s expects a number, got %S" k v
-          in
-          (match k with
-          | "retries" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok { cfg with max_retries = n }
-              | None -> fail "transport: retries expects an integer, got %S" v)
-          | "rto" -> num (fun f -> { cfg with base_rto = f })
-          | "multiplier" -> num (fun f -> { cfg with multiplier = f })
-          | "cap" -> num (fun f -> { cfg with cap = f })
-          | "jitter" -> num (fun f -> { cfg with jitter = f })
-          | _ ->
-              fail
-                "transport: unknown key %S (expected \
-                 retries|rto|multiplier|cap|jitter)"
-                k)
-    in
-    let rec go cfg = function
-      | [] -> (
-          match validate cfg with
-          | Ok () -> Ok (`Reliable cfg)
-          | Error msg -> Error msg)
-      | kv :: rest -> (
-          match field cfg kv with Ok cfg -> go cfg rest | Error _ as e -> e)
-    in
-    go default_config (String.split_on_char ',' spec)
-  in
-  let parse_adaptive_fields spec =
-    let field (a : adaptive_config) kv =
-      match String.index_opt kv '=' with
-      | None -> fail "transport: expected key=value, got %S" kv
-      | Some i ->
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let num set =
-            match float_of_string_opt v with
-            | Some f -> Ok (set f)
-            | None -> fail "transport: %s expects a number, got %S" k v
-          in
-          let int set =
+            | Some f -> Ok (set acc f)
+            | None -> fail "transport: %s expects a number, got %S" k v)
+        | Some (Int set) -> (
             match int_of_string_opt v with
-            | Some n -> Ok (set n)
-            | None -> fail "transport: %s expects an integer, got %S" k v
-          in
-          (match k with
-          | "healthy" -> (
-              match v with
-              | "bare" -> Ok { a with healthy = `Bare }
-              | "reliable" -> Ok { a with healthy = `Reliable default_config }
-              | _ ->
-                  fail "transport: healthy expects bare or reliable, got %S" v)
-          | "degrade" ->
-              num (fun f ->
-                  { a with
-                    policy =
-                      { a.policy with Pte_adapt.Policy.degrade_above = f } })
-          | "recover" ->
-              num (fun f ->
-                  { a with
-                    policy =
-                      { a.policy with Pte_adapt.Policy.recover_below = f } })
-          | "dwell" ->
-              num (fun f ->
-                  { a with
-                    policy = { a.policy with Pte_adapt.Policy.min_dwell = f } })
-          | "samples" ->
-              int (fun n ->
-                  { a with
-                    policy = { a.policy with Pte_adapt.Policy.min_samples = n } })
-          | "window" ->
-              int (fun n ->
-                  { a with
-                    estimator =
-                      { a.estimator with Pte_adapt.Estimator.window = n } })
-          | "burst" ->
-              int (fun n ->
-                  { a with
-                    estimator =
-                      { a.estimator with Pte_adapt.Estimator.burst_k = n } })
-          | "budget" -> num (fun f -> { a with budget = Some f })
-          | _ ->
-              fail
-                "transport: unknown key %S (expected \
-                 healthy|degrade|recover|dwell|samples|window|burst|budget)"
-                k)
-    in
-    let rec go a = function
-      | [] -> (
-          match validate_adaptive a with
-          | Ok () -> Ok (`Adaptive a)
-          | Error msg -> Error msg)
-      | kv :: rest -> (
-          match field a kv with Ok a -> go a rest | Error _ as e -> e)
-    in
-    go default_adaptive (String.split_on_char ',' spec)
+            | Some n -> Ok (set acc n)
+            | None -> fail "transport: %s expects an integer, got %S" k v)
+        | Some (Word set) -> set acc v
+        | None ->
+            fail "transport: unknown key %S (expected %s)" k
+              (String.concat "|" (List.map fst keys)))
+  in
+  let rec go acc = function
+    | [] -> Ok acc
+    | kv :: rest -> Result.bind (field acc kv) (fun acc -> go acc rest)
+  in
+  go init (String.split_on_char ',' spec)
+
+let reliable_keys =
+  [ ("retries", Int (fun c n -> { c with max_retries = n }));
+    ("rto", Num (fun c f -> { c with base_rto = f }));
+    ("multiplier", Num (fun c f -> { c with multiplier = f }));
+    ("cap", Num (fun c f -> { c with cap = f }));
+    ("jitter", Num (fun c f -> { c with jitter = f })) ]
+
+let scheduled_keys =
+  let open Pte_sched.Synth in
+  [ ("slot", Num (fun p f -> { p with slot_len = Some f }));
+    ("retries", Int (fun p n -> { p with retries = Some n }));
+    ("loss", Num (fun p f -> { p with loss = f }));
+    ("confidence", Num (fun p f -> { p with confidence = f }));
+    ("depth", Int (fun p n -> { p with depth = n }));
+    ("budget", Num (fun p f -> { p with budget = Some f })) ]
+
+let adaptive_keys =
+  let policy a f = { a with policy = f a.policy } in
+  let estimator a f = { a with estimator = f a.estimator } in
+  let open Pte_adapt in
+  [ ( "healthy",
+      Word
+        (fun a -> function
+          | "bare" -> Ok { a with healthy = `Bare }
+          | "reliable" -> Ok { a with healthy = `Reliable default_config }
+          | v -> fail "transport: healthy expects bare or reliable, got %S" v)
+    );
+    ( "degrade",
+      Num (fun a f -> policy a (fun p -> { p with Policy.degrade_above = f })) );
+    ( "recover",
+      Num (fun a f -> policy a (fun p -> { p with Policy.recover_below = f })) );
+    ("dwell", Num (fun a f -> policy a (fun p -> { p with Policy.min_dwell = f })));
+    ( "samples",
+      Int (fun a n -> policy a (fun p -> { p with Policy.min_samples = n })) );
+    ( "window",
+      Int (fun a n -> estimator a (fun e -> { e with Estimator.window = n })) );
+    ( "burst",
+      Int (fun a n -> estimator a (fun e -> { e with Estimator.burst_k = n })) );
+    ("budget", Num (fun a f -> { a with budget = Some f })) ]
+
+let mode_of_string s =
+  let ( let* ) = Result.bind in
+  let unknown name =
+    fail
+      "unknown transport %S (expected bare, reliable[:k=v,...], \
+       scheduled[:k=v,...] or adaptive[:k=v,...])"
+      name
   in
   match String.index_opt s ':' with
   | None -> (
@@ -1106,22 +1052,22 @@ let mode_of_string s =
       | "reliable" -> Ok (`Reliable default_config)
       | "scheduled" -> Ok (`Scheduled Pte_sched.Synth.default_policy)
       | "adaptive" -> Ok (`Adaptive default_adaptive)
-      | _ ->
-          fail
-            "unknown transport %S (expected bare, reliable[:k=v,...], \
-             scheduled[:k=v,...] or adaptive[:k=v,...])"
-            s)
-  | Some i ->
-      let head = String.sub s 0 i in
+      | _ -> unknown s)
+  | Some i -> (
       let spec = String.sub s (i + 1) (String.length s - i - 1) in
-      if String.equal head "reliable" then parse_fields spec
-      else if String.equal head "scheduled" then parse_sched_fields spec
-      else if String.equal head "adaptive" then parse_adaptive_fields spec
-      else
-        fail
-          "unknown transport %S (expected bare, reliable[:k=v,...], \
-           scheduled[:k=v,...] or adaptive[:k=v,...])"
-          head
+      match String.sub s 0 i with
+      | "reliable" ->
+          let* c = parse_spec reliable_keys default_config spec in
+          Result.map (fun () -> `Reliable c) (validate c)
+      | "scheduled" ->
+          (* the policy is checked when it is synthesized, at create *)
+          Result.map
+            (fun p -> `Scheduled p)
+            (parse_spec scheduled_keys Pte_sched.Synth.default_policy spec)
+      | "adaptive" ->
+          let* a = parse_spec adaptive_keys default_adaptive spec in
+          Result.map (fun () -> `Adaptive a) (validate_adaptive a)
+      | head -> unknown head)
 
 let pp_config ppf c =
   Fmt.pf ppf "retries:%d rto:%gs x%g cap:%gs jitter:%gs" c.max_retries

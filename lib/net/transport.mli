@@ -4,10 +4,10 @@
     duplicate suppression by (src, seq).
 
     The transport plugs into the executor as its {!Pte_hybrid.Executor.router}.
-    In [`Bare] mode it behaves exactly like {!Star.router} — one attempt
-    per send, no ACKs, no RNG consumption — except that replayed frames
-    (an injected [Duplicate_frame]) are suppressed at the receiver, so
-    the automaton is handed each (src, seq) at most once. In
+    In [`Bare] mode it makes one attempt per send, with no ACKs and no
+    RNG consumption; replayed frames (an injected [Duplicate_frame]) are
+    suppressed at the receiver, so the automaton is handed each
+    (src, seq) at most once. In
     [`Reliable _] mode every radio send becomes an ARQ exchange: the
     sender retransmits on a backoff schedule until an ACK comes back or
     the retry budget is exhausted.
@@ -244,9 +244,10 @@ val pooled_estimator : t -> Pte_adapt.Estimator.t option
     the switch. [Some _] exactly in [`Adaptive] mode. *)
 
 val router : t -> Pte_hybrid.Executor.router
-(** The executor transport hook. Non-star automata stay wired;
-    remote-to-remote sends are dropped and counted, as in
-    {!Star.router}. In [`Reliable _] mode radio sends answer
+(** The executor transport hook — the one routing path from the star
+    to the executor. Non-star automata stay wired (delivered at once);
+    remote-to-remote sends are dropped and counted in
+    [Star.remote_to_remote_dropped]. In [`Reliable _] mode radio sends answer
     [Deferred] and run event-driven (see above); raises
     [Invalid_argument] if {!attach} has not been called. *)
 

@@ -13,8 +13,8 @@ val create :
   Pte_hybrid.System.t ->
   t
 (** With [?net], wireless events route through the star's links via a
-    {!Pte_net.Transport} ([`Bare] by default: single-shot sends, exactly
-    the legacy {!Pte_net.Star.router} behavior; [`Reliable _] adds
+    {!Pte_net.Transport} ([`Bare] by default: single-shot sends with no
+    ACKs and no RNG draws; [`Reliable _] adds
     ACK/retransmission); automata that are not star nodes communicate
     as wired. *)
 

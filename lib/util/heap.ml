@@ -8,19 +8,24 @@ type 'a t = {
   mutable items : (float * int * 'a) array;  (* (priority, seq, value) *)
   mutable size : int;
   mutable seq : int;
-  dummy : 'a;
+  hole : float * int * 'a;  (* fills vacated slots, releasing their value *)
 }
 
-let create ~dummy = { items = Array.make 16 (0.0, 0, dummy); size = 0; seq = 0; dummy }
+let create ~dummy =
+  let hole = (0.0, 0, dummy) in
+  { items = Array.make 16 hole; size = 0; seq = 0; hole }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-let less (p1, s1, _) (p2, s2, _) = p1 < p2 || (p1 = p2 && s1 < s2)
+(* annotated so the comparisons compile to float/int compares, not the
+   polymorphic [compare] *)
+let less ((p1 : float), (s1 : int), _) ((p2 : float), (s2 : int), _) =
+  p1 < p2 || (p1 = p2 && s1 < s2)
 
 let grow t =
   if t.size = Array.length t.items then begin
-    let bigger = Array.make (2 * Array.length t.items) (0.0, 0, t.dummy) in
+    let bigger = Array.make (2 * Array.length t.items) t.hole in
     Array.blit t.items 0 bigger 0 t.size;
     t.items <- bigger
   end
@@ -69,7 +74,7 @@ let pop t =
     let priority, _, value = t.items.(0) in
     t.size <- t.size - 1;
     t.items.(0) <- t.items.(t.size);
-    t.items.(t.size) <- (0.0, 0, t.dummy);
+    t.items.(t.size) <- t.hole;
     sift_down t 0;
     Some (priority, value)
   end

@@ -155,6 +155,11 @@ let test_adaptive_spec_parsing () =
       Alcotest.(check bool) "budget pinned" true
         (a.Transport.budget = Some 1.9)
   | _ -> Alcotest.fail "well-formed adaptive spec must parse");
+  (match Transport.mode_of_string "adaptive:budget=nan" with
+  | Error msg ->
+      Alcotest.(check string) "NaN budget rejected at parse time"
+        "transport: budget must be >= 0" msg
+  | Ok _ -> Alcotest.fail "a NaN budget must be rejected");
   (match Transport.mode_of_string "adaptive:degrade=0.1,recover=0.3" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an inverted hysteresis band must be rejected");

@@ -355,33 +355,160 @@ let test_sampler_catches_up () =
         Alcotest.failf "sample %d read %g, expected %g" i value expected)
     samples
 
+(* The trace of a busy N = 3 pattern run as the sorted-list, full-scan
+   engine recorded it (the engine the heap timeline replaced): one line
+   per entry, the time printed exactly ([%h]) then the rendered event. *)
+let legacy_fixture = "fixtures/legacy-busy-n3.trace"
+
 let test_heap_legacy_traces_identical () =
-  (* differential gate behind the whole refactor: the heap queue plus
-     activity-set stabilization must replay a busy multi-automaton run
-     byte-identically to the legacy sorted-list full-scan engine *)
-  let run queue =
-    let system, _ = Pte_core.Scale.system ~n:3 () in
-    let exec = Executor.create ~queue system in
-    let init = Pte_core.Scale.initializer_name in
-    let request = Pte_core.Events.stim_request ~initializer_:init in
-    let cancel = Pte_core.Events.stim_cancel ~initializer_:init in
-    List.iter
-      (fun (at, root) ->
-        ignore
-          (Executor.schedule exec ~at (fun exec0 ->
-               ignore (Executor.deliver_now exec0 ~receiver:init ~root))))
-      [ (0.5, request); (9.0, cancel); (12.0, request); (40.0, cancel) ];
-    Executor.run exec ~until:60.0;
-    Executor.trace exec
+  (* the heap timeline plus activity-set stabilization must replay the
+     legacy engine's trace entry for entry *)
+  let system, _ = Pte_core.Scale.system ~n:3 () in
+  let exec = Executor.create system in
+  let init = Pte_core.Scale.initializer_name in
+  let request = Pte_core.Events.stim_request ~initializer_:init in
+  let cancel = Pte_core.Events.stim_cancel ~initializer_:init in
+  List.iter
+    (fun (at, root) ->
+      ignore
+        (Executor.schedule exec ~at (fun exec0 ->
+             ignore (Executor.deliver_now exec0 ~receiver:init ~root))))
+    [ (0.5, request); (9.0, cancel); (12.0, request); (40.0, cancel) ];
+  Executor.run exec ~until:60.0;
+  let actual =
+    List.map
+      (fun (e : Trace.entry) ->
+        Fmt.str "%h %a" e.Trace.time Trace.pp_event e.Trace.event)
+      (Executor.trace exec)
   in
-  let heap = run `Heap and legacy = run `Legacy_list in
-  Alcotest.(check int) "same trace length" (List.length legacy)
-    (List.length heap);
-  List.iter2
-    (fun (l : Trace.entry) (h : Trace.entry) ->
-      if l <> h then
-        Alcotest.failf "traces diverge at t=%g" l.Trace.time)
-    legacy heap
+  let expected =
+    In_channel.with_open_text legacy_fixture In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> line <> "")
+  in
+  let rec walk i = function
+    | [], [] -> ()
+    | e :: es, a :: as_ ->
+        if not (String.equal e a) then
+          Alcotest.failf "entry %d differs:@ expected %S@ got      %S" i e a;
+        walk (i + 1) (es, as_)
+    | e :: _, [] -> Alcotest.failf "entry %d missing: expected %S" i e
+    | [], a :: _ -> Alcotest.failf "entry %d extra: got %S" i a
+  in
+  walk 0 (expected, actual);
+  Alcotest.(check int) "fixture length" 122 (List.length expected)
+
+(* ---- timeline oracle: random schedule / cancel traffic through the
+        public API against a sorted-list model ---- *)
+
+(* Entry [j] names the [j mod n]-th of the [n] entries issued so far; a
+   negative [j], or [n = 0], names a token this executor never issued. *)
+type op =
+  | At of int  (* a timer [k] ticks out ([k < 0]: in the past) *)
+  | Cancel_at of int * int  (* a timer [k] ticks out that cancels entry [j] *)
+  | Cancel of int  (* cancel entry [j] now *)
+  | Steps of int
+
+let show_op = function
+  | At k -> Printf.sprintf "At %d" k
+  | Cancel_at (k, j) -> Printf.sprintf "Cancel_at (%d, %d)" k j
+  | Cancel j -> Printf.sprintf "Cancel %d" j
+  | Steps n -> Printf.sprintf "Steps %d" n
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun k -> At k) (int_range (-2) 6));
+        ( 1,
+          map2 (fun k j -> Cancel_at (k, j)) (int_range 0 6) (int_range (-1) 40)
+        );
+        (2, map (fun j -> Cancel j) (int_range (-1) 40));
+        (2, map (fun n -> Steps n) (int_range 1 5));
+      ])
+
+let tick = 0.002 (* two default steps: offsets collide, so due-ties abound *)
+
+let fire_order ops =
+  let exec = Executor.create (idle_system ()) in
+  (* a token this executor never issued: the last of a longer run *)
+  let foreign =
+    let other = Executor.create (idle_system ()) in
+    let last = ref None in
+    for _ = 0 to List.length ops do
+      last := Some (Executor.schedule other ~at:1.0 ignore)
+    done;
+    Option.get !last
+  in
+  let fired = ref [] and expected = ref [] in
+  (* the model: live entries as (due, id), sorted by due then issue order,
+     and the entry each cancelling timer revokes *)
+  let pending = ref [] and revokes = Hashtbl.create 16 in
+  let issued = ref [||] in
+  let resolve j =
+    let n = Array.length !issued in
+    if j < 0 || n = 0 then (foreign, -1) else (!issued.(j mod n), j mod n)
+  in
+  let revoke id = pending := List.filter (fun (_, i) -> i <> id) !pending in
+  let schedule k target =
+    let id = Array.length !issued in
+    let at = Executor.time exec +. (Float.of_int k *. tick) in
+    let token =
+      Executor.schedule exec ~at (fun ex ->
+          fired := id :: !fired;
+          Option.iter (fun (tok, _) -> Executor.cancel ex tok) target)
+    in
+    issued := Array.append !issued [| token |];
+    Option.iter (fun (_, tid) -> Hashtbl.replace revokes id tid) target;
+    let due = Float.max at (Executor.time exec) in
+    let rec insert = function
+      | ((d, _) as e) :: rest when d <= due -> e :: insert rest
+      | later -> (due, id) :: later
+    in
+    pending := insert !pending
+  in
+  let rec model_fire upto =
+    match !pending with
+    | (due, id) :: rest when due <= upto ->
+        pending := rest;
+        expected := id :: !expected;
+        Option.iter revoke (Hashtbl.find_opt revokes id);
+        model_fire upto
+    | _ -> ()
+  in
+  let step () =
+    Executor.step exec;
+    model_fire (Executor.time exec +. 1e-12)
+  in
+  List.iter
+    (function
+      | At k -> schedule k None
+      | Cancel_at (k, j) -> schedule k (Some (resolve j))
+      | Cancel j ->
+          let token, id = resolve j in
+          Executor.cancel exec token;
+          revoke id
+      | Steps n -> for _ = 1 to n do step () done)
+    ops;
+  (* drain: every due time lies within 6 ticks of the last schedule *)
+  for _ = 1 to 7 * 2 do step () done;
+  (List.rev !fired, List.rev !expected)
+
+let prop_timeline_matches_sorted_list =
+  QCheck.Test.make ~name:"timeline fires in sorted-list order" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+        (* <= 60 timers: under the 64-firing Zeno budget per instant of
+           a one-automaton system *)
+        Gen.(list_size (int_range 0 60) gen_op))
+    (fun ops ->
+      let fired, expected = fire_order ops in
+      if fired <> expected then
+        QCheck.Test.fail_reportf "fired [%s], model [%s]"
+          (String.concat "; " (List.map string_of_int fired))
+          (String.concat "; " (List.map string_of_int expected));
+      true)
 
 let test_trace_sink_streams () =
   let seen = ref 0 in
@@ -433,5 +560,6 @@ let suite =
         Alcotest.test_case "heap and legacy-list traces identical" `Quick
           test_heap_legacy_traces_identical;
         Alcotest.test_case "trace sink streams" `Quick test_trace_sink_streams;
+        QCheck_alcotest.to_alcotest prop_timeline_matches_sorted_list;
       ] );
   ]

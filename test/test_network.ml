@@ -6,6 +6,12 @@ let mk_star ?(loss = Loss.Perfect) () =
   Star.create ~base:"base" ~remotes:[ "r1"; "r2" ] ~loss_kind:loss
     ~rng:(Pte_util.Rng.create 1) ()
 
+(* The executor hook over [star]: the transport in [`Bare] mode — one
+   attempt per send, no ACKs, no RNG draws. *)
+let bare_router star =
+  Transport.router
+    (Transport.create ~mode:`Bare ~rng:(Pte_util.Rng.create 3) star)
+
 let test_link_delivery_and_delay () =
   let link =
     Link.create ~name:"l" ~direction:Link.Uplink
@@ -61,7 +67,7 @@ let test_star_topology () =
 
 let test_router_semantics () =
   let star = mk_star () in
-  let router = Star.router star in
+  let router = bare_router star in
   (match router ~time:0.0 ~sender:"base" ~root:"e" ~receiver:"r1" with
   | Pte_hybrid.Executor.Deliver d when d >= 0.0 -> ()
   | _ -> Alcotest.fail "downlink should deliver");
@@ -77,7 +83,7 @@ let test_router_semantics () =
 
 let test_star_loss_applies () =
   let star = mk_star ~loss:(Loss.Bernoulli 1.0) () in
-  let router = Star.router star in
+  let router = bare_router star in
   (match router ~time:0.0 ~sender:"base" ~root:"e" ~receiver:"r1" with
   | Pte_hybrid.Executor.Lose -> ()
   | _ -> Alcotest.fail "lossy link should lose");
@@ -137,7 +143,7 @@ let test_adversarial_blackout_defeats_retries () =
 
 let test_total_stats_merge () =
   let star = mk_star () in
-  let router = Star.router star in
+  let router = bare_router star in
   ignore (router ~time:0.0 ~sender:"base" ~root:"e" ~receiver:"r1");
   ignore (router ~time:0.0 ~sender:"r2" ~root:"e" ~receiver:"base");
   let stats = Star.total_stats star in

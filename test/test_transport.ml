@@ -283,6 +283,14 @@ let test_create_validates () =
       Alcotest.(check string) "spec parser gives the same reason"
         "transport: jitter must be >= 0" msg
   | Ok _ -> Alcotest.fail "ill-formed spec must be rejected");
+  (* NaN fails every bound at parse time, naming the field *)
+  List.iter
+    (fun (spec, reason) ->
+      match Transport.mode_of_string spec with
+      | Error msg -> Alcotest.(check string) spec reason msg
+      | Ok _ -> Alcotest.failf "%s must be rejected" spec)
+    [ ("reliable:jitter=nan", "transport: jitter must be >= 0");
+      ("reliable:multiplier=nan", "transport: multiplier must be >= 1") ];
   (match Transport.mode_of_string "reliable:cap=0.1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "cap below base_rto must be rejected");
