@@ -1732,8 +1732,9 @@ let s1_storm ~timers ~horizon ~seed =
    wireless star, driven by stimuli on the Initializer — requests from
    Fall-Back, cancels mid-cascade (Requesting) and mid-emission (Risky
    Core) — so grant/cancel sweeps keep flowing through all N+1 automata.
-   Returns (events, wall); Zeno or Time_block would propagate and fail
-   the bench, which is the gate. *)
+   Returns (events, wall, minor words allocated per step over the run);
+   Zeno or Time_block would propagate and fail the bench, which is the
+   gate. *)
 let s1_emulation ~n ~horizon ~dt ~seed =
   let system, p = Pte_core.Scale.system ~n () in
   let net =
@@ -1756,13 +1757,21 @@ let s1_emulation ~n ~horizon ~dt ~seed =
     ~armed_in:"Requesting" ~root:cancel ();
   Pte_sim.Scenario.exponential_stimulus engine ~mean:8.0 ~automaton:init
     ~armed_in:"Risky Core" ~root:cancel ();
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   Pte_sim.Engine.run engine ~until:horizon;
   let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  let steps = Float.round (Pte_sim.Engine.time engine /. dt) in
   let events =
     Pte_hybrid.Executor.events_processed (Pte_sim.Engine.executor engine)
   in
-  (events, wall)
+  (events, wall, words /. steps)
+
+(* Ceiling on the N=64 smoke emulation's minor words per step (dev
+   profile, as [dune build @bench-smoke] builds it). The map-valuation
+   executor allocated 1822; the flat one allocates 23. *)
+let s1_smoke_words_ceiling = 100.0
 
 let s1_scale () =
   let module J = Pte_util.Json in
@@ -1815,23 +1824,36 @@ let s1_scale () =
            "S1b: full pattern emulation, N+1 automata for %g simulated s \
             (bare transport, perfect channel)"
            emu_horizon)
-      ~header:[ "N"; "dt s"; "events"; "wall s"; "sim-s/wall-s"; "ev/s" ]
+      ~header:
+        [ "N"; "dt s"; "events"; "wall s"; "sim-s/wall-s"; "ev/s";
+          "minor words/step" ]
       ~aligns:
         [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right ]
+          Table.Right; Table.Right ]
       ()
   in
   let emu_cells =
     List.map
       (fun n ->
         let dt = 0.01 in
-        let events, wall = s1_emulation ~n ~horizon:emu_horizon ~dt ~seed in
+        let events, wall, words =
+          s1_emulation ~n ~horizon:emu_horizon ~dt ~seed
+        in
         Table.add_row emu
           [ Table.fmt_int n; Table.fmt_float ~decimals:2 dt;
             Table.fmt_int events; Table.fmt_float ~decimals:1 wall;
             Table.fmt_float ~decimals:0 (emu_horizon /. wall);
-            Table.fmt_float ~decimals:1 (Float.of_int events /. wall) ];
-        (n, dt, events, wall))
+            Table.fmt_float ~decimals:1 (Float.of_int events /. wall);
+            Table.fmt_float ~decimals:0 words ];
+        (* allocation is a deterministic function of the seed (unlike
+           wall time), so it is the gated figure: flat valuations made an
+           idle automaton allocate nothing per step *)
+        if !smoke && n = 64 && words > s1_smoke_words_ceiling then
+          Fmt.failwith
+            "S1: N=64 smoke emulation allocated %.0f minor words/step, \
+             ceiling %.0f"
+            words s1_smoke_words_ceiling;
+        (n, dt, events, wall, words))
       sizes
   in
   Table.add_note emu
@@ -1855,13 +1877,14 @@ let s1_scale () =
                ("events_per_s", J.Num rate) ])
          storm_cells
       @ List.map
-          (fun (n, dt, events, wall) ->
+          (fun (n, dt, events, wall, words) ->
             J.Obj
               [ ("name", J.Str (Fmt.str "emu_n%04d" n)); ("dt", J.Num dt);
                 ("events", J.Num (Float.of_int events));
                 ("wall_s", J.Num wall);
                 ("sim_per_wall", J.Num (emu_horizon /. wall));
-                ("events_per_s", J.Num (Float.of_int events /. wall)) ])
+                ("events_per_s", J.Num (Float.of_int events /. wall));
+                ("minor_words_per_step", J.Num words) ])
           emu_cells)
 
 (* ------------------------------------------------------------------ *)

@@ -32,14 +32,28 @@
     tokens for O(1) cancel (a cancelled entry stays in the heap as a
     tombstone and is skipped when it surfaces); automata live in a flat
     array indexed by int with the name->index table only at the API
-    boundary; every location carries a precomputed dispatch index
-    (trigger-root -> edges, cached eager/spontaneous arrays); and
-    {!stabilize} re-chases only {e active} automata — those that fired,
-    received a message or whose location is time-sensitive — instead of
-    scanning the whole system every fixpoint round. Quiescent automata
-    contribute nothing to a fixpoint round, so the trace equals the one
-    of a full-scan sorted-list engine (pinned by a recorded trace in
-    the test suite). *)
+    boundary; {!stabilize} re-chases only {e active} automata — those
+    that fired, received a message or whose location is time-sensitive
+    — instead of scanning the whole system every fixpoint round.
+    Quiescent automata contribute nothing to a fixpoint round, so the
+    trace equals the one of a full-scan sorted-list engine (pinned by a
+    recorded trace in the test suite).
+
+    Valuations are flat: each automaton keeps its variables in a
+    [float array], slots numbered once at {!create}. A location's
+    dispatch index (trigger-root -> edges, eager/spontaneous arrays) is
+    compiled the first time the automaton enters it, from edges grouped
+    by source in one pass at {!create}: its {!Flow.Rates} become
+    [(slot, rate)] arrays, its invariant and edge guards {!Guard.flat}
+    arrays, its resets slot assignments. The continuous step, guard
+    checks and the eager chase are closure-free loops over those
+    arrays, so an idle constant-rate automaton allocates nothing per
+    step. The float operations and their order are those of the
+    map-based engine — Euler [x +. rate *. span] in rate-list order,
+    {!Guard.eps} comparisons, the 30-round [a +. alpha *. (b -. a)]
+    bisection — so traces are byte-identical to it (pinned by two
+    recorded traces). Only {!Flow.Ode} locations (the patient model)
+    still see a {!Valuation.t}, built from the array each step. *)
 
 exception Time_block of { automaton : string; location : string; time : float }
 exception Zeno of { automaton : string; time : float }
@@ -71,14 +85,34 @@ type config = {
 let default_config =
   { dt = 1e-3; max_chain = 64; sample_vars = []; sample_period = 1.0 }
 
-(* Per-location dispatch index, precomputed at {!create}: the edge
+(* {2 Flat layout} *)
+
+(* A flow compiled against an automaton's slots: constant rates as
+   parallel arrays in rate-list order, or an ODE that reads a map view. *)
+type flow =
+  | Const of { slots : int array; rates : float array }
+  | Ode of (float -> Valuation.t -> (Var.t * float) list)
+
+(* An edge compiled against its automaton's slots. [reset_ops.(k)]
+   assigns slot [reset_dst.(k)]; a [Copy] reads slot [reset_src.(k)]. *)
+type cedge = {
+  edge : Edge.t;
+  guard : Guard.flat;
+  reset_dst : int array;
+  reset_ops : Reset.assignment array;
+  reset_src : int array;
+}
+
+(* Per-location dispatch index, compiled on first entry: the edge
    subsets the hot path needs, in declaration order (so "first enabled
    edge" picks the same edge the old linear [edges_from] scan did). *)
 type loc_info = {
   loc : Location.t;
-  eager : Edge.t array;  (* spontaneous + Eager *)
-  spontaneous : Edge.t array;  (* any urgency *)
-  triggered : (string, Edge.t array) Hashtbl.t;  (* trigger root -> edges *)
+  flow : flow;
+  invariant : Guard.flat;
+  eager : cedge array;  (* spontaneous + Eager *)
+  spontaneous : cedge array;  (* any urgency *)
+  triggered : (string, cedge array) Hashtbl.t;  (* trigger root -> edges *)
   has_eager : bool;
       (* whether time passage alone can enable a transition here: if not,
          the automaton needs no eager re-chase after a continuous step *)
@@ -87,9 +121,17 @@ type loc_info = {
 type automaton_state = {
   automaton : Automaton.t;
   ix : int;  (* index into [t.states] *)
-  infos : (string, loc_info) Hashtbl.t;  (* location name -> index *)
+  slots : (Var.t, int) Hashtbl.t;  (* variable -> index into [values] *)
+  initial : float array;  (* the initial valuation *)
+  values : float array;  (* the current valuation *)
+  before : float array;
+      (* the valuation at the start of the current continuous step (the
+         bisection's [from]) or before the current reset *)
+  sources : (string, Location.t * Edge.t list) Hashtbl.t;
+      (* location name -> (location, its out-edges reversed): the input
+         of the first-entry compile *)
+  infos : (string, loc_info) Hashtbl.t;  (* compiled on first entry *)
   mutable info : loc_info;  (* current location's index *)
-  mutable valuation : Valuation.t;
   mutable entered_at : float;
   mutable halted : bool;
       (* crashed node: flows frozen, edges disabled, receptions dropped *)
@@ -132,76 +174,125 @@ and payload =
 
 (* {2 Construction} *)
 
-let build_loc_info (loc : Location.t) edges =
-  let edges = Array.of_list edges in
+(* Slot of [var] in automaton [a]'s valuation array. *)
+let slot_exn (a : Automaton.t) slots var =
+  match Hashtbl.find_opt slots var with
+  | Some j -> j
+  | None ->
+      Fmt.invalid_arg "executor: automaton %s has no variable %s"
+        a.Automaton.name var
+
+let compile_edge slot_of (e : Edge.t) =
+  let reset = Array.of_list e.reset in
+  {
+    edge = e;
+    guard = Guard.flatten slot_of e.guard;
+    reset_dst = Array.map (fun (var, _) -> slot_of var) reset;
+    reset_ops = Array.map snd reset;
+    reset_src =
+      Array.map (function _, Reset.Copy src -> slot_of src | _ -> -1) reset;
+  }
+
+let compile_loc slot_of (loc : Location.t) rev_edges =
+  let edges = List.rev_map (compile_edge slot_of) rev_edges in
+  let keep p = Array.of_list (List.filter p edges) in
   let eager =
-    Array.of_list
-      (List.filter
-         (fun (e : Edge.t) -> Edge.is_spontaneous e && e.urgency = Edge.Eager)
-         (Array.to_list edges))
+    keep (fun c -> Edge.is_spontaneous c.edge && c.edge.urgency = Edge.Eager)
   in
-  let spontaneous =
-    Array.of_list (List.filter Edge.is_spontaneous (Array.to_list edges))
-  in
-  let triggered = Hashtbl.create 8 in
   (* group triggered edges by root, preserving declaration order *)
-  Array.iter
-    (fun (e : Edge.t) ->
-      match Edge.trigger_root e with
+  let triggered = Hashtbl.create 8 in
+  List.iter
+    (fun c ->
+      match Edge.trigger_root c.edge with
       | Some root ->
           let prev =
             match Hashtbl.find_opt triggered root with
             | Some l -> l
             | None -> []
           in
-          Hashtbl.replace triggered root (e :: prev)
+          Hashtbl.replace triggered root (c :: prev)
       | None -> ())
     edges;
   let triggered_arrays = Hashtbl.create (Hashtbl.length triggered) in
   Hashtbl.iter
-    (fun root rev_edges ->
-      Hashtbl.replace triggered_arrays root
-        (Array.of_list (List.rev rev_edges)))
+    (fun root rev ->
+      Hashtbl.replace triggered_arrays root (Array.of_list (List.rev rev)))
     triggered;
+  let flow =
+    match loc.Location.flow with
+    | Flow.Rates rates ->
+        Const
+          {
+            slots = Array.of_list (List.map (fun (v, _) -> slot_of v) rates);
+            rates = Array.of_list (List.map snd rates);
+          }
+    | Flow.Ode f -> Ode f
+  in
   {
     loc;
+    flow;
+    invariant = Guard.flatten slot_of loc.Location.invariant;
     eager;
-    spontaneous;
+    spontaneous = keep (fun c -> Edge.is_spontaneous c.edge);
     triggered = triggered_arrays;
     has_eager = Array.length eager > 0;
   }
 
-let build_state ix (a : Automaton.t) =
-  (* group edges by source location in one pass (declaration order) *)
-  let by_src = Hashtbl.create (List.length a.Automaton.locations * 2) in
-  List.iter
-    (fun (e : Edge.t) ->
-      let prev =
-        match Hashtbl.find_opt by_src e.src with Some l -> l | None -> []
+(* The dispatch index of location [name], compiled on its first entry
+   from the edges [create] grouped by source: systems with thousands of
+   locations pay only for the ones a run visits. *)
+let find_info (a : Automaton.t) slots sources infos name =
+  match Hashtbl.find_opt infos name with
+  | Some info -> info
+  | None ->
+      let loc, rev_edges =
+        match Hashtbl.find_opt sources name with
+        | Some src -> src
+        | None -> assert false (* validated: no dangling edge endpoints *)
       in
-      Hashtbl.replace by_src e.src (e :: prev))
-    a.Automaton.edges;
-  let infos = Hashtbl.create (List.length a.Automaton.locations * 2) in
+      let info = compile_loc (slot_exn a slots) loc rev_edges in
+      Hashtbl.replace infos name info;
+      info
+
+let info_of st name =
+  find_info st.automaton st.slots st.sources st.infos name
+
+let build_state ix (a : Automaton.t) =
+  let slots = Hashtbl.create 8 in
+  List.iter
+    (fun v ->
+      if not (Hashtbl.mem slots v) then
+        Hashtbl.replace slots v (Hashtbl.length slots))
+    a.Automaton.vars;
+  (* zero, then the initial values in order (a repeated one: last wins) *)
+  let initial = Array.make (Hashtbl.length slots) 0.0 in
+  List.iter
+    (fun (v, x) -> initial.(slot_exn a slots v) <- x)
+    a.Automaton.initial_values;
+  (* group edges by source location in one pass (reversed declaration
+     order) *)
+  let sources = Hashtbl.create (List.length a.Automaton.locations * 2) in
   List.iter
     (fun (loc : Location.t) ->
-      let edges =
-        match Hashtbl.find_opt by_src loc.Location.name with
-        | Some rev -> List.rev rev
-        | None -> []
-      in
-      Hashtbl.replace infos loc.Location.name (build_loc_info loc edges))
+      Hashtbl.replace sources loc.Location.name (loc, []))
     a.Automaton.locations;
-  let info =
-    match Hashtbl.find_opt infos a.Automaton.initial_location with
-    | Some i -> i
-    | None -> assert false (* System.validate_exn checked it *)
-  in
+  List.iter
+    (fun (e : Edge.t) ->
+      match Hashtbl.find_opt sources e.src with
+      | Some (loc, rev) -> Hashtbl.replace sources e.src (loc, e :: rev)
+      | None -> assert false (* validated: no dangling edge endpoints *))
+    a.Automaton.edges;
+  let infos = Hashtbl.create 8 in
   {
     automaton = a;
     ix;
+    slots;
+    initial;
+    values = Array.copy initial;
+    before = Array.copy initial;
+    sources;
     infos;
-    info;
-    valuation = Automaton.initial_valuation a;
+    info = find_info a slots sources infos a.Automaton.initial_location;
     entered_at = 0.0;
     halted = false;
     rate = 1.0;
@@ -274,8 +365,15 @@ let state_ix t name =
 let state t name = t.states.(state_ix t name)
 
 let location_of t name = (state t name).info.loc.Location.name
-let valuation_of t name = (state t name).valuation
-let value_of t name var = Valuation.get (state t name).valuation var
+
+(* A variable the automaton does not declare reads as 0, the
+   {!Valuation} convention. *)
+let read st var =
+  match Hashtbl.find_opt st.slots var with
+  | Some j -> st.values.(j)
+  | None -> 0.0
+
+let value_of t name var = read (state t name) var
 let dwell_time t name = t.now -. (state t name).entered_at
 
 (** Overwrite one variable, bypassing flows and resets. This is the hook
@@ -283,10 +381,11 @@ let dwell_time t name = t.now -. (state t name).entered_at
     express without shared variables (which the system model forbids):
     e.g. the oximeter wired to the supervisor writes the sampled SpO2
     into the supervisor's local data state. Use through [pte_sim]'s
-    coupling API rather than directly. *)
+    coupling API rather than directly. Raises [Invalid_argument] when
+    the automaton does not declare [var]. *)
 let set_value t name var value =
   let st = state t name in
-  st.valuation <- Valuation.set st.valuation var value;
+  st.values.(slot_exn st.automaton st.slots var) <- value;
   st.active <- true
 
 let record t event = Trace.Recorder.record t.recorder ~time:t.now event
@@ -309,10 +408,8 @@ let halt t name =
 let restart t name =
   let st = state t name in
   st.halted <- false;
-  (match Hashtbl.find_opt st.infos st.automaton.Automaton.initial_location with
-  | Some info -> st.info <- info
-  | None -> assert false);
-  st.valuation <- Automaton.initial_valuation st.automaton;
+  st.info <- info_of st st.automaton.Automaton.initial_location;
+  Array.blit st.initial 0 st.values 0 (Array.length st.values);
   st.entered_at <- t.now;
   st.active <- true;
   note t (Printf.sprintf "fault: %s restarted" name);
@@ -397,18 +494,36 @@ let broadcast t ~sender ~root =
           end)
         ixs
 
-(* Fire [edge] from [st]'s current location. Emits trace entries and
+(* Apply a compiled reset. The assignments are simultaneous (every
+   right-hand side reads the pre-transition valuation, snapshotted in
+   [before]) and written in order, so a repeated target keeps its last
+   assignment — {!Reset.apply} on the array. *)
+let apply_reset st c =
+  let n = Array.length c.reset_dst in
+  if n > 0 then begin
+    let values = st.values and before = st.before in
+    Array.blit values 0 before 0 (Array.length values);
+    for k = 0 to n - 1 do
+      let dst = c.reset_dst.(k) in
+      values.(dst) <-
+        (match c.reset_ops.(k) with
+        | Reset.Set_const x -> x
+        | Reset.Add_const x -> before.(dst) +. x
+        | Reset.Copy _ -> before.(c.reset_src.(k)))
+    done
+  end
+
+(* Fire [c] from [st]'s current location. Emits trace entries and
    broadcasts any sent event. The caller maintains the chain budget. *)
-let fire t st (edge : Edge.t) ~forced =
+let fire t st c ~forced =
+  let edge = c.edge in
   let name = st.automaton.Automaton.name in
   record t
     (Trace.Transition
        { automaton = name; src = edge.src; dst = edge.dst; label = edge.label;
          forced });
-  st.valuation <- Reset.apply edge.reset st.valuation;
-  (match Hashtbl.find_opt st.infos edge.dst with
-  | Some info -> st.info <- info
-  | None -> assert false (* validated: no dangling edge endpoints *));
+  apply_reset st c;
+  st.info <- info_of st edge.dst;
   st.entered_at <- t.now;
   st.active <- true;
   t.events <- t.events + 1;
@@ -421,18 +536,15 @@ let fire t st (edge : Edge.t) ~forced =
   | None ->
       ()
 
-let first_enabled edges valuation =
+(* Index of the first edge of [edges] whose guard holds on [values], or
+   -1: a plain loop, since a local closure would allocate per call. *)
+let first_enabled edges values =
   let n = Array.length edges in
-  let rec go i =
-    if i >= n then None
-    else
-      let e : Edge.t = edges.(i) in
-      if Guard.holds e.guard valuation then Some e else go (i + 1)
-  in
-  go 0
-
-let enabled_spontaneous st = first_enabled st.info.spontaneous st.valuation
-let enabled_eager st = first_enabled st.info.eager st.valuation
+  let k = ref 0 in
+  while !k < n && not (Guard.flat_holds edges.(!k).guard values) do
+    incr k
+  done;
+  if !k < n then !k else -1
 
 (* Deliver [root] to [receiver]: fires the first enabled triggered edge
    listening on [root] in the current location, if any. *)
@@ -447,21 +559,23 @@ let deliver t ~receiver ~root =
     false
   end
   else
-    let candidate =
+    let edges =
       match Hashtbl.find_opt st.info.triggered root with
-      | Some edges -> first_enabled edges st.valuation
-      | None -> None
+      | Some edges -> edges
+      | None -> [||]
     in
-    match candidate with
-    | Some edge ->
-        record t
-          (Trace.Message_delivered { receiver = name; root; consumed = true });
-        fire t st edge ~forced:false;
-        true
-    | None ->
-        record t
-          (Trace.Message_delivered { receiver = name; root; consumed = false });
-        false
+    let k = first_enabled edges st.values in
+    if k >= 0 then begin
+      record t
+        (Trace.Message_delivered { receiver = name; root; consumed = true });
+      fire t st edges.(k) ~forced:false;
+      true
+    end
+    else begin
+      record t
+        (Trace.Message_delivered { receiver = name; root; consumed = false });
+      false
+    end
 
 (** Hand [root] to [receiver] at the current instant — the delivery half
     of a {!Deferred} routing decision (the event-driven transport calls
@@ -490,57 +604,92 @@ let lose_now t ~receiver ~root =
    exactly the full-scan order. *)
 let stabilize t =
   let n = Array.length t.states in
-  let budget = t.config.max_chain * n in
+  let max_chain = t.config.max_chain in
+  let budget = max_chain * n in
+  (* plain loops and local refs: a closure here would allocate on every
+     call, twice per step *)
   let fires = ref 0 in
-  let bump name =
-    incr fires;
-    if !fires > budget then raise (Zeno { automaton = name; time = t.now })
-  in
   let progress = ref true in
   while !progress do
     progress := false;
     (* due deliveries and timers, in order *)
     let deadline = t.now +. 1e-12 in
-    let rec drain () =
+    let draining = ref true in
+    while !draining do
       match pop_due t ~deadline with
       | Some { payload = Message { receiver; root }; _ } ->
-          bump t.states.(receiver).automaton.Automaton.name;
-          if deliver t ~receiver ~root then progress := true;
-          drain ()
+          incr fires;
+          if !fires > budget then
+            raise
+              (Zeno
+                 {
+                   automaton = t.states.(receiver).automaton.Automaton.name;
+                   time = t.now;
+                 });
+          if deliver t ~receiver ~root then progress := true
       | Some { payload = Timer f; owner; _ } ->
-          bump owner;
+          incr fires;
+          if !fires > budget then
+            raise (Zeno { automaton = owner; time = t.now });
           t.events <- t.events + 1;
           f t;
-          progress := true;
-          drain ()
-      | None -> ()
-    in
-    drain ();
-    let chase st =
-      let name = st.automaton.Automaton.name in
-      let rec go k =
-        if k >= t.config.max_chain then
-          raise (Zeno { automaton = name; time = t.now });
-        match enabled_eager st with
-        | Some edge ->
-            bump name;
-            fire t st edge ~forced:false;
-            progress := true;
-            go (k + 1)
-        | None -> ()
-      in
-      go 0
-    in
+          progress := true
+      | None -> draining := false
+    done;
     for i = 0 to n - 1 do
       let st = t.states.(i) in
       if st.active && not st.halted then begin
-        chase st;
+        (* chase: fire enabled eager edges, at most [max_chain] *)
+        let chain = ref 0 in
+        let chasing = ref true in
+        while !chasing do
+          if !chain >= max_chain then
+            raise
+              (Zeno { automaton = st.automaton.Automaton.name; time = t.now });
+          let eager = st.info.eager in
+          let k = first_enabled eager st.values in
+          if k >= 0 then begin
+            incr fires;
+            if !fires > budget then
+              raise
+                (Zeno
+                   { automaton = st.automaton.Automaton.name; time = t.now });
+            fire t st eager.(k) ~forced:false;
+            progress := true;
+            incr chain
+          end
+          else chasing := false
+        done;
         (* fixpoint reached: nothing eager is enabled here until a
            later delivery, mutation or continuous step re-marks it *)
         st.active <- false
       end
     done
   done
+
+(* One Euler step of [span] seconds from absolute time [start] under the
+   current location's flow, in place; [before] keeps the pre-step
+   valuation. *)
+let euler st ~start ~span =
+  let values = st.values and before = st.before in
+  Array.blit values 0 before 0 (Array.length values);
+  match st.info.flow with
+  | Const { slots; rates } ->
+      for k = 0 to Array.length slots - 1 do
+        let j = slots.(k) in
+        values.(j) <- values.(j) +. (rates.(k) *. span)
+      done
+  | Ode f ->
+      let view =
+        Hashtbl.fold
+          (fun var j view -> Valuation.set view var before.(j))
+          st.slots Valuation.empty
+      in
+      List.iter
+        (fun (var, rate) ->
+          let j = slot_exn st.automaton st.slots var in
+          values.(j) <- values.(j) +. (rate *. span))
+        (f start view)
 
 (* Advance one automaton's continuous state by [span] seconds starting at
    absolute time [start]; handles invariant boundaries by bisection and
@@ -550,42 +699,48 @@ let rec advance_automaton t st ~start ~span ~depth =
   else begin
     if depth > t.config.max_chain then
       raise (Zeno { automaton = st.automaton.Automaton.name; time = start });
-    let flow = st.info.loc.Location.flow in
-    let derivatives = Flow.derivatives flow ~time:start st.valuation in
-    let tentative = Valuation.advance st.valuation derivatives span in
-    let invariant = st.info.loc.Location.invariant in
-    if Guard.holds invariant tentative then st.valuation <- tentative
-    else begin
-      (* Bisect for the largest alpha in [0,1] keeping the invariant. *)
-      let from = st.valuation in
-      let alpha = ref 0.0 in
-      let width = ref 0.5 in
-      for _ = 1 to 30 do
-        let candidate = !alpha +. !width in
-        let v = Valuation.interpolate ~from ~target:tentative candidate in
-        if Guard.holds invariant v then alpha := candidate;
-        width := !width /. 2.0
-      done;
-      st.valuation <- Valuation.interpolate ~from ~target:tentative !alpha;
-      let boundary_time = start +. (!alpha *. span) in
-      let saved_now = t.now in
-      t.now <- boundary_time;
-      (match enabled_spontaneous st with
-      | Some edge -> fire t st edge ~forced:true
-      | None ->
-          raise
-            (Time_block
-               {
-                 automaton = st.automaton.Automaton.name;
-                 location = st.info.loc.Location.name;
-                 time = boundary_time;
-               }));
-      t.now <- saved_now;
-      advance_automaton t st ~start:boundary_time
-        ~span:(span -. (!alpha *. span))
-        ~depth:(depth + 1)
-    end
+    euler st ~start ~span;
+    if not (Guard.flat_holds st.info.invariant st.values) then
+      cross_boundary t st ~start ~span ~depth
   end
+
+(* The step from [before] to [values] left the invariant: bisect for the
+   largest alpha in [0,1] keeping it, move there, force an enabled
+   spontaneous edge and advance the rest of the span under the new
+   location. *)
+and cross_boundary t st ~start ~span ~depth =
+  let invariant = st.info.invariant in
+  let from = st.before and target = st.values in
+  let alpha = ref 0.0 in
+  let width = ref 0.5 in
+  for _ = 1 to 30 do
+    let candidate = !alpha +. !width in
+    if Guard.flat_holds_between invariant ~from ~target candidate then
+      alpha := candidate;
+    width := !width /. 2.0
+  done;
+  let alpha = !alpha in
+  for j = 0 to Array.length target - 1 do
+    target.(j) <- from.(j) +. (alpha *. (target.(j) -. from.(j)))
+  done;
+  let boundary_time = start +. (alpha *. span) in
+  let saved_now = t.now in
+  t.now <- boundary_time;
+  let spontaneous = st.info.spontaneous in
+  let k = first_enabled spontaneous st.values in
+  if k < 0 then
+    raise
+      (Time_block
+         {
+           automaton = st.automaton.Automaton.name;
+           location = st.info.loc.Location.name;
+           time = boundary_time;
+         });
+  fire t st spontaneous.(k) ~forced:true;
+  t.now <- saved_now;
+  advance_automaton t st ~start:boundary_time
+    ~span:(span -. (alpha *. span))
+    ~depth:(depth + 1)
 
 let sample t =
   List.iter
@@ -593,28 +748,40 @@ let sample t =
       match Hashtbl.find_opt t.index automaton with
       | None -> ()
       | Some ix ->
-          let st = t.states.(ix) in
           record t
-            (Trace.Sample
-               { automaton; var; value = Valuation.get st.valuation var }))
+            (Trace.Sample { automaton; var; value = read t.states.(ix) var }))
     t.config.sample_vars
 
 (** Advance the whole system by one step of [config.dt]. *)
 let step t =
   stabilize t;
   let start = t.now in
-  let span = t.config.dt in
-  let n = Array.length t.states in
-  for i = 0 to n - 1 do
-    let st = t.states.(i) in
+  let dt = t.config.dt in
+  let states = t.states in
+  for i = 0 to Array.length states - 1 do
+    let st = states.(i) in
     if not st.halted then begin
-      advance_automaton t st ~start ~span:(span *. st.rate) ~depth:0;
+      let span = dt *. st.rate in
+      let info = st.info in
+      (match info.flow with
+      | Const { slots; rates } when not (span <= 0.0) ->
+          (* {!euler} inlined: no call, hence no boxed [span] *)
+          let values = st.values in
+          let bounded = Array.length info.invariant.Guard.slots > 0 in
+          if bounded then Array.blit values 0 st.before 0 (Array.length values);
+          for k = 0 to Array.length slots - 1 do
+            let j = slots.(k) in
+            values.(j) <- values.(j) +. (rates.(k) *. span)
+          done;
+          if bounded && not (Guard.flat_holds info.invariant values) then
+            cross_boundary t st ~start ~span ~depth:0
+      | Const _ | Ode _ -> advance_automaton t st ~start ~span ~depth:0);
       (* time passed: only a location with eager spontaneous edges can
          have gained an enabled transition from it *)
       if st.info.has_eager then st.active <- true
     end
   done;
-  t.now <- start +. span;
+  t.now <- start +. dt;
   stabilize t;
   if t.config.sample_vars <> [] && t.now >= t.next_sample -. 1e-12 then begin
     sample t;

@@ -8,13 +8,17 @@
     plugs in the lossy wireless star). A bounded number of discrete
     changes may occur per instant.
 
-    The hot path is built for systems of 1000+ automata: one event
-    timeline (a {!Pte_util.Heap} ordered by (due, insertion) with
-    lazy-delete tombstones), flat int-indexed automaton states with
-    per-location dispatch indices, and an activity-set stabilization
-    that re-chases only automata that changed since the last fixpoint.
-    Traces equal those of the original sorted-list, full-scan engine
-    (pinned by a recorded trace in the test suite). *)
+    Hot-path organisation: the executor is built for systems of 1000+
+    automata. It keeps one event timeline (a {!Pte_util.Heap} ordered by
+    (due, insertion) with lazy-delete tombstones) and flat int-indexed
+    automaton states. Each valuation is a [float array] with slots
+    numbered at {!create}. Each location's dispatch index, rates,
+    invariant, guards and resets are compiled against those slots on
+    the location's first entry. An activity-set stabilization re-chases
+    only automata that changed since the last fixpoint. An idle
+    constant-rate automaton allocates nothing per step. Traces equal
+    those of the original sorted-list, full-scan, map-valuation engine,
+    pinned by two recorded traces in the test suite. *)
 
 exception
   Time_block of { automaton : string; location : string; time : float }
@@ -104,15 +108,20 @@ val lose_now : t -> receiver:string -> root:string -> unit
     instant the transport gave up on it. *)
 
 val location_of : t -> string -> string
-val valuation_of : t -> string -> Valuation.t
+
 val value_of : t -> string -> Var.t -> float
+(** A variable the automaton does not declare reads as 0 (the
+    {!Valuation} convention). *)
+
 val dwell_time : t -> string -> float
 (** Continuous dwell in the current location. *)
 
 val set_value : t -> string -> Var.t -> float -> unit
 (** Overwrite one variable, bypassing flows/resets — the hook for wired
     physical couplings (e.g. the oximeter writing the supervisor's
-    ApprovalCondition). Use via [pte_sim]'s coupling API. *)
+    ApprovalCondition). Use via [pte_sim]'s coupling API. Raises
+    [Invalid_argument] naming the automaton and the variable when the
+    automaton does not declare it. *)
 
 val note : t -> string -> unit
 (** Append a free-form annotation to the trace. *)

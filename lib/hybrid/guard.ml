@@ -31,7 +31,8 @@ let ( =. ) var bound = atom var Eq bound
 
 let conj atoms : t = atoms
 
-let atom_holds { cmp; bound; _ } value =
+(* The one definition of an atom's truth, inlined into the flat loops. *)
+let[@inline] cmp_holds cmp ~bound value =
   match cmp with
   | Lt -> value < bound +. eps
   | Le -> value <= bound +. eps
@@ -39,8 +40,47 @@ let atom_holds { cmp; bound; _ } value =
   | Ge -> value >= bound -. eps
   | Eq -> Float.abs (value -. bound) <= eps
 
+let atom_holds { cmp; bound; _ } value = cmp_holds cmp ~bound value
+
 let holds guard valuation =
   List.for_all (fun a -> atom_holds a (Valuation.get valuation a.var)) guard
+
+(* Flat form: the atoms as parallel arrays over slot indices, evaluated
+   with plain loops so the executor's hot path allocates nothing. *)
+type flat = { slots : int array; cmps : cmp array; bounds : float array }
+
+let flatten slot_of guard =
+  let atoms = Array.of_list guard in
+  {
+    slots = Array.map (fun a -> slot_of a.var) atoms;
+    cmps = Array.map (fun a -> a.cmp) atoms;
+    bounds = Array.map (fun a -> a.bound) atoms;
+  }
+
+let flat_holds f values =
+  let n = Array.length f.slots in
+  let k = ref 0 in
+  while
+    !k < n
+    && cmp_holds f.cmps.(!k) ~bound:f.bounds.(!k) values.(f.slots.(!k))
+  do
+    incr k
+  done;
+  !k = n
+
+let flat_holds_between f ~from ~target alpha =
+  let n = Array.length f.slots in
+  let k = ref 0 in
+  while
+    !k < n
+    &&
+    let j = f.slots.(!k) in
+    cmp_holds f.cmps.(!k) ~bound:f.bounds.(!k)
+      (from.(j) +. (alpha *. (target.(j) -. from.(j))))
+  do
+    incr k
+  done;
+  !k = n
 
 let vars guard =
   List.fold_left (fun acc a -> Var.Set.add a.var acc) Var.Set.empty guard

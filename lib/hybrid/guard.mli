@@ -27,6 +27,7 @@ val ( =. ) : Var.t -> float -> atom
 val conj : atom list -> t
 val atom_holds : atom -> float -> bool
 val holds : t -> Valuation.t -> bool
+
 val vars : t -> Var.Set.t
 
 val bounds : t -> Var.t -> float option * float option
@@ -55,3 +56,27 @@ val invariant_horizon :
 val pp_cmp : cmp Fmt.t
 val pp_atom : atom Fmt.t
 val pp : t Fmt.t
+
+(** {2 Flat form}
+
+    A guard compiled against a slot numbering of its automaton's
+    variables: the executor keeps each valuation as a [float array] and
+    evaluates guards without allocating. *)
+
+type flat = private {
+  slots : int array;  (** atom [k] reads [values.(slots.(k))] *)
+  cmps : cmp array;
+  bounds : float array;
+}
+
+val flatten : (Var.t -> int) -> t -> flat
+(** [flatten slot_of guard], atoms in order. *)
+
+val flat_holds : flat -> float array -> bool
+(** Same truth value as {!holds} on the valuation the array encodes. *)
+
+val flat_holds_between :
+  flat -> from:float array -> target:float array -> float -> bool
+(** [flat_holds_between f ~from ~target alpha] evaluates the guard at
+    [from + alpha * (target - from)], computed per atom exactly as the
+    executor interpolates (its invariant-boundary bisection). *)

@@ -28,23 +28,6 @@ let to_list valuation = Var.Map.bindings valuation
 let vars valuation =
   Var.Map.fold (fun v _ acc -> Var.Set.add v acc) valuation Var.Set.empty
 
-(** Pointwise Euler step: [advance valuation derivatives dt] adds
-    [rate *. dt] to each variable listed in [derivatives]; unlisted
-    variables keep their value (rate 0). *)
-let advance valuation derivatives dt =
-  List.fold_left
-    (fun acc (var, rate) -> update acc var (fun x -> x +. (rate *. dt)))
-    valuation derivatives
-
-(** Linear interpolation between two valuations over the same variables;
-    used by the executor's invariant-boundary search. *)
-let interpolate ~from:v0 ~target:v1 alpha =
-  Var.Map.merge
-    (fun _ a b ->
-      let a = Option.value a ~default:0.0 and b = Option.value b ~default:0.0 in
-      Some (a +. (alpha *. (b -. a))))
-    v0 v1
-
 let equal_eps ~eps a b =
   let keys = Var.Set.union (vars a) (vars b) in
   Var.Set.for_all (fun v -> Float.abs (get a v -. get b v) <= eps) keys

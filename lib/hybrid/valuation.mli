@@ -13,11 +13,5 @@ val of_list : (Var.t * float) list -> t
 val to_list : t -> (Var.t * float) list
 val vars : t -> Var.Set.t
 
-val advance : t -> (Var.t * float) list -> float -> t
-(** Pointwise Euler step; unlisted variables keep their value. *)
-
-val interpolate : from:t -> target:t -> float -> t
-(** Linear interpolation (the executor's boundary search). *)
-
 val equal_eps : eps:float -> t -> t -> bool
 val pp : t Fmt.t

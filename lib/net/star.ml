@@ -12,6 +12,9 @@ type t = {
   base : string;
   uplinks : (string * Link.t) list;  (* remote -> link remote->base *)
   downlinks : (string * Link.t) list;  (* remote -> link base->remote *)
+  by_remote : (string, Link.t * Link.t) Hashtbl.t;
+      (* remote -> (uplink, downlink): the O(1) routing lookups; the
+         lists keep the remote order that schedule synthesis relies on *)
   mutable remote_to_remote_dropped : int;
 }
 
@@ -29,21 +32,31 @@ let create ~base ~remotes ~loss_kind ?(delay_base = 0.01)
         ~delay_base ~delay_jitter ~mac_retries
         ~rng:(Pte_util.Rng.split rng) () )
   in
-  {
-    base;
-    uplinks = List.map (mk Link.Uplink) remotes;
-    downlinks = List.map (mk Link.Downlink) remotes;
-    remote_to_remote_dropped = 0;
-  }
+  (* the downlinks split [rng] before the uplinks: every recorded trial
+     depends on this order *)
+  let downlinks = List.map (mk Link.Downlink) remotes in
+  let uplinks = List.map (mk Link.Uplink) remotes in
+  let by_remote = Hashtbl.create (2 * List.length remotes) in
+  (* a repeated remote keeps its first links, as [List.assoc] did *)
+  List.iter2
+    (fun (remote, up) (_, down) ->
+      if not (Hashtbl.mem by_remote remote) then
+        Hashtbl.replace by_remote remote (up, down))
+    uplinks downlinks;
+  { base; uplinks; downlinks; by_remote; remote_to_remote_dropped = 0 }
 
-let is_remote t name = List.mem_assoc name t.uplinks
+let is_remote t name = Hashtbl.mem t.by_remote name
 let is_node t name = String.equal name t.base || is_remote t name
 
 let link_for t ~sender ~receiver =
-  if String.equal sender t.base && is_remote t receiver then
-    Some (List.assoc receiver t.downlinks)
-  else if is_remote t sender && String.equal receiver t.base then
-    Some (List.assoc sender t.uplinks)
+  if String.equal sender t.base then
+    match Hashtbl.find_opt t.by_remote receiver with
+    | Some (_, down) -> Some down
+    | None -> None
+  else if String.equal receiver t.base then
+    match Hashtbl.find_opt t.by_remote sender with
+    | Some (up, _) -> Some up
+    | None -> None
   else None
 
 let all_links t =

@@ -8,6 +8,11 @@ type t = {
   base : string;
   uplinks : (string * Link.t) list;
   downlinks : (string * Link.t) list;
+  by_remote : (string, Link.t * Link.t) Hashtbl.t;
+      (** remote -> (uplink, downlink), the first binding of a repeated
+          remote: the O(1) lookups behind {!is_remote} and {!link_for}.
+          The lists keep remote order for {!links} and
+          {!schedule_links}. *)
   mutable remote_to_remote_dropped : int;
 }
 

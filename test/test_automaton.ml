@@ -67,6 +67,20 @@ let test_undeclared_guard_var () =
   in
   expect_invalid bad "undeclared variable"
 
+let test_undeclared_flow_var () =
+  (* a constant-rate flow over an undeclared variable has no slot in the
+     executor's flat valuation: validation must name it *)
+  let a = tiny () in
+  let bad =
+    {
+      a with
+      Automaton.locations =
+        Location.make ~flow:(Flow.Rates [ ("c", 1.0); ("ghost", 2.0) ]) "C"
+        :: a.Automaton.locations;
+    }
+  in
+  expect_invalid bad "flow of \"C\" mentions undeclared variable \"ghost\""
+
 let test_initial_violating_invariant () =
   let a = tiny () in
   let locations =
@@ -186,6 +200,7 @@ let suite =
         Alcotest.test_case "dangling edge" `Quick test_dangling_edge;
         Alcotest.test_case "missing initial" `Quick test_missing_initial;
         Alcotest.test_case "undeclared guard var" `Quick test_undeclared_guard_var;
+        Alcotest.test_case "undeclared flow var" `Quick test_undeclared_flow_var;
         Alcotest.test_case "initial violates invariant" `Quick
           test_initial_violating_invariant;
         Alcotest.test_case "risky partition" `Quick test_risky_partition;

@@ -176,6 +176,66 @@ let test_dwell_time_and_set_value () =
   Alcotest.(check (float 0.0)) "set_value" 42.0
     (Executor.value_of exec "plain" "x")
 
+let expect_invalid_arg what fragments f =
+  match f () with
+  | () -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun fragment ->
+          let n = String.length fragment and l = String.length msg in
+          let rec at i =
+            i + n <= l && (String.sub msg i n = fragment || at (i + 1))
+          in
+          if not (at 0) then
+            Alcotest.failf "%s: %S does not name %S" what msg fragment)
+        fragments
+
+let test_set_value_undeclared () =
+  (* the flat valuation has no slot for an undeclared variable: writing
+     one is an error naming both, reading one is 0 *)
+  let a =
+    Automaton.make ~name:"plain" ~vars:[ "x" ]
+      ~locations:[ Location.make "L" ]
+      ~edges:[] ~initial_location:"L" ()
+  in
+  let exec = Executor.create (system_of [ a ]) in
+  expect_invalid_arg "set_value" [ "plain"; "ghost" ] (fun () ->
+      Executor.set_value exec "plain" "ghost" 1.0);
+  Alcotest.(check (float 0.0)) "undeclared reads 0" 0.0
+    (Executor.value_of exec "plain" "ghost")
+
+let test_ode_undeclared_derivative () =
+  let a =
+    Automaton.make ~name:"leaky" ~vars:[ "x" ]
+      ~locations:
+        [ Location.make
+            ~flow:(Flow.Ode (fun _t _v -> [ ("x", 1.0); ("ghost", 1.0) ]))
+            "Run" ]
+      ~edges:[] ~initial_location:"Run" ()
+  in
+  let exec = Executor.create (system_of [ a ]) in
+  expect_invalid_arg "ODE derivative" [ "leaky"; "ghost" ] (fun () ->
+      Executor.run exec ~until:0.1)
+
+let test_reset_is_simultaneous () =
+  (* a := b; b := a swaps: every right-hand side reads the
+     pre-transition valuation *)
+  let a =
+    Automaton.make ~name:"swap" ~vars:[ "a"; "b" ]
+      ~locations:[ Location.make "L"; Location.make "M" ]
+      ~edges:
+        [ Edge.make ~reset:[ ("a", Reset.Copy "b"); ("b", Reset.Copy "a") ]
+            ~src:"L" ~dst:"M" () ]
+      ~initial_location:"L"
+      ~initial_values:[ ("a", 1.0); ("b", 2.0) ]
+      ()
+  in
+  let exec = Executor.create (system_of [ a ]) in
+  Executor.step exec;
+  Alcotest.(check string) "fired" "M" (Executor.location_of exec "swap");
+  Alcotest.(check (float 0.0)) "a := b" 2.0 (Executor.value_of exec "swap" "a");
+  Alcotest.(check (float 0.0)) "b := a" 1.0 (Executor.value_of exec "swap" "b")
+
 let test_forced_transition_flag () =
   (* a Delayed edge never fires on its own; only the invariant boundary
      forces it, and the executor must flag that *)
@@ -360,6 +420,32 @@ let test_sampler_catches_up () =
    per entry, the time printed exactly ([%h]) then the rendered event. *)
 let legacy_fixture = "fixtures/legacy-busy-n3.trace"
 
+(* Check [trace] against a recorded fixture entry by entry, naming the
+   first difference; returns the fixture's lines. *)
+let replay_fixture fixture trace =
+  let actual =
+    List.map
+      (fun (e : Trace.entry) ->
+        Fmt.str "%h %a" e.Trace.time Trace.pp_event e.Trace.event)
+      trace
+  in
+  let expected =
+    In_channel.with_open_text fixture In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> line <> "")
+  in
+  let rec walk i = function
+    | [], [] -> ()
+    | e :: es, a :: as_ ->
+        if not (String.equal e a) then
+          Alcotest.failf "entry %d differs:@ expected %S@ got      %S" i e a;
+        walk (i + 1) (es, as_)
+    | e :: _, [] -> Alcotest.failf "entry %d missing: expected %S" i e
+    | [], a :: _ -> Alcotest.failf "entry %d extra: got %S" i a
+  in
+  walk 0 (expected, actual);
+  expected
+
 let test_heap_legacy_traces_identical () =
   (* the heap timeline plus activity-set stabilization must replay the
      legacy engine's trace entry for entry *)
@@ -375,27 +461,7 @@ let test_heap_legacy_traces_identical () =
              ignore (Executor.deliver_now exec0 ~receiver:init ~root))))
     [ (0.5, request); (9.0, cancel); (12.0, request); (40.0, cancel) ];
   Executor.run exec ~until:60.0;
-  let actual =
-    List.map
-      (fun (e : Trace.entry) ->
-        Fmt.str "%h %a" e.Trace.time Trace.pp_event e.Trace.event)
-      (Executor.trace exec)
-  in
-  let expected =
-    In_channel.with_open_text legacy_fixture In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun line -> line <> "")
-  in
-  let rec walk i = function
-    | [], [] -> ()
-    | e :: es, a :: as_ ->
-        if not (String.equal e a) then
-          Alcotest.failf "entry %d differs:@ expected %S@ got      %S" i e a;
-        walk (i + 1) (es, as_)
-    | e :: _, [] -> Alcotest.failf "entry %d missing: expected %S" i e
-    | [], a :: _ -> Alcotest.failf "entry %d extra: got %S" i a
-  in
-  walk 0 (expected, actual);
+  let expected = replay_fixture legacy_fixture (Executor.trace exec) in
   Alcotest.(check int) "fixture length" 122 (List.length expected)
 
 (* ---- timeline oracle: random schedule / cancel traffic through the
@@ -541,6 +607,12 @@ let suite =
         Alcotest.test_case "inject stimulus" `Quick test_inject_stimulus;
         Alcotest.test_case "dwell time / set_value" `Quick
           test_dwell_time_and_set_value;
+        Alcotest.test_case "set_value on an undeclared variable" `Quick
+          test_set_value_undeclared;
+        Alcotest.test_case "ODE derivative of an undeclared variable" `Quick
+          test_ode_undeclared_derivative;
+        Alcotest.test_case "resets are simultaneous (swap)" `Quick
+          test_reset_is_simultaneous;
         Alcotest.test_case "forced transitions flagged" `Quick
           test_forced_transition_flag;
         Alcotest.test_case "ODE integration accuracy" `Quick

@@ -166,6 +166,64 @@ let test_lost_cancel_without_lease () =
     true
     (r.Pte_tracheotomy.Trial.failures >= 1)
 
+(* A lossy 120 s trial with a drifting ventilator (rate 1.07, so its
+   cylinder overshoots the invariant and every stroke reversal is a
+   bisected, forced transition), a ventilator crash and reboot, and the
+   patient's SpO2 (an ODE flow) and the cylinder height noted once per
+   second. The fixture is the trace the map-valuation executor
+   recorded, one entry per line, the time and every float printed
+   exactly ([%h]). *)
+let trial_fixture = "fixtures/trial-drift-crash-120s.trace"
+
+let test_trial_trace_replays_fixture () =
+  let faults =
+    {
+      Pte_faults.Plan.empty with
+      node_faults =
+        [
+          Pte_faults.Plan.clock_drift ~entity:"ventilator" ~factor:1.07;
+          Pte_faults.Plan.crash ~entity:"ventilator" ~at:47.0 ~blackout:9.0;
+        ];
+    }
+  in
+  let config =
+    {
+      Pte_tracheotomy.Emulation.default with
+      horizon = 120.0;
+      seed = 2013;
+      e_ton = 20.0;
+      e_toff = 8.0;
+      loss = Pte_net.Loss.wifi_interference ~average_loss:0.3;
+      faults;
+    }
+  in
+  let built = Pte_tracheotomy.Emulation.build config in
+  let engine = built.Pte_tracheotomy.Emulation.engine in
+  Pte_sim.Engine.add_process engine ~period:1.0 ~name:"state-note"
+    (fun engine ~time:_ ->
+      let value = Pte_sim.Engine.value_of engine in
+      Pte_sim.Engine.note engine
+        (Printf.sprintf "spo2 %h hvent %h"
+           (value Pte_tracheotomy.Patient.name Pte_tracheotomy.Patient.spo2_var)
+           (value "ventilator" Pte_tracheotomy.Ventilator.height_var)));
+  let expected =
+    Test_executor.replay_fixture trial_fixture
+      (Pte_tracheotomy.Emulation.run built)
+  in
+  Alcotest.(check int) "fixture length" 336 (List.length expected);
+  (* the fixture exercises what it is meant to pin *)
+  let mentions needle line =
+    let n = String.length needle and l = String.length line in
+    let rec at i = i + n <= l && (String.sub line i n = needle || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (needle, what) ->
+      if not (List.exists (mentions needle) expected) then
+        Alcotest.failf "fixture has no %s" what)
+    [ ("(forced)", "forced transition"); ("restarted", "restart");
+      ("loses", "lost frame"); ("spo2 0x1.87", "SpO2 decay") ]
+
 let suite =
   [
     ( "tracheotomy",
@@ -189,5 +247,7 @@ let suite =
           test_lost_cancel_with_lease;
         Alcotest.test_case "lost cancel, without lease" `Quick
           test_lost_cancel_without_lease;
+        Alcotest.test_case "drift/crash trial replays its recorded trace"
+          `Quick test_trial_trace_replays_fixture;
       ] );
   ]

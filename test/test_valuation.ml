@@ -1,4 +1,4 @@
-(* Valuations: totality convention, Euler advance, interpolation. *)
+(* Valuations: totality convention, update, tolerance comparison. *)
 
 open Pte_hybrid
 
@@ -12,25 +12,6 @@ let test_set_get_update () =
   let v = Valuation.update v "x" (fun x -> x *. 3.0) in
   Alcotest.(check (float 1e-12)) "updated" 6.0 (Valuation.get v "x")
 
-let test_advance () =
-  let v = Valuation.of_list [ ("c", 1.0); ("h", 0.3) ] in
-  let v' = Valuation.advance v [ ("c", 1.0); ("h", -0.1) ] 0.5 in
-  Alcotest.(check (float 1e-12)) "clock" 1.5 (Valuation.get v' "c");
-  Alcotest.(check (float 1e-12)) "height" 0.25 (Valuation.get v' "h");
-  (* unlisted variables frozen *)
-  let v'' = Valuation.advance v [ ("c", 1.0) ] 1.0 in
-  Alcotest.(check (float 1e-12)) "frozen" 0.3 (Valuation.get v'' "h")
-
-let test_interpolate () =
-  let a = Valuation.of_list [ ("x", 0.0) ] in
-  let b = Valuation.of_list [ ("x", 10.0) ] in
-  let mid = Valuation.interpolate ~from:a ~target:b 0.25 in
-  Alcotest.(check (float 1e-12)) "quarter point" 2.5 (Valuation.get mid "x");
-  let zero = Valuation.interpolate ~from:a ~target:b 0.0 in
-  Alcotest.(check (float 1e-12)) "alpha 0" 0.0 (Valuation.get zero "x");
-  let one = Valuation.interpolate ~from:a ~target:b 1.0 in
-  Alcotest.(check (float 1e-12)) "alpha 1" 10.0 (Valuation.get one "x")
-
 let test_equal_eps () =
   let a = Valuation.of_list [ ("x", 1.0) ] in
   let b = Valuation.of_list [ ("x", 1.0 +. 1e-12) ] in
@@ -38,28 +19,12 @@ let test_equal_eps () =
   let c = Valuation.of_list [ ("x", 1.1) ] in
   Alcotest.(check bool) "far" false (Valuation.equal_eps ~eps:1e-9 a c)
 
-let prop_advance_linear =
-  QCheck.Test.make ~name:"advance is linear in dt" ~count:300
-    QCheck.(triple (float_range (-10.) 10.) (float_range (-5.) 5.) (float_range 0. 10.))
-    (fun (x0, rate, dt) ->
-      let v = Valuation.of_list [ ("x", x0) ] in
-      let one = Valuation.advance v [ ("x", rate) ] dt in
-      let two_steps =
-        Valuation.advance
-          (Valuation.advance v [ ("x", rate) ] (dt /. 2.0))
-          [ ("x", rate) ] (dt /. 2.0)
-      in
-      Float.abs (Valuation.get one "x" -. Valuation.get two_steps "x") < 1e-9)
-
 let suite =
   [
     ( "hybrid.valuation",
       [
         Alcotest.test_case "zero/defaults" `Quick test_zero_and_defaults;
         Alcotest.test_case "set/get/update" `Quick test_set_get_update;
-        Alcotest.test_case "advance" `Quick test_advance;
-        Alcotest.test_case "interpolate" `Quick test_interpolate;
         Alcotest.test_case "equal_eps" `Quick test_equal_eps;
-        QCheck_alcotest.to_alcotest prop_advance_linear;
       ] );
   ]
