@@ -200,7 +200,6 @@ let suite =
         Alcotest.test_case "dangling edge" `Quick test_dangling_edge;
         Alcotest.test_case "missing initial" `Quick test_missing_initial;
         Alcotest.test_case "undeclared guard var" `Quick test_undeclared_guard_var;
-        Alcotest.test_case "undeclared flow var" `Quick test_undeclared_flow_var;
         Alcotest.test_case "initial violates invariant" `Quick
           test_initial_violating_invariant;
         Alcotest.test_case "risky partition" `Quick test_risky_partition;
@@ -210,5 +209,6 @@ let suite =
         Alcotest.test_case "Definition 3 simplicity" `Quick test_simplicity;
         Alcotest.test_case "system validation" `Quick test_system_validate;
         Alcotest.test_case "system listeners" `Quick test_system_listeners;
+        Alcotest.test_case "undeclared flow var" `Quick test_undeclared_flow_var;
       ] );
   ]
