@@ -1731,11 +1731,12 @@ let s1_storm ~timers ~horizon ~seed =
 (* Full-emulation cell: the N-order pattern of Pte_core.Scale under the
    wireless star, driven by stimuli on the Initializer — requests from
    Fall-Back, cancels mid-cascade (Requesting) and mid-emission (Risky
-   Core) — so grant/cancel sweeps keep flowing through all N+1 automata.
-   Returns (events, wall, minor words allocated per step over the run);
-   Zeno or Time_block would propagate and fail the bench, which is the
-   gate. *)
-let s1_emulation ~n ~horizon ~dt ~seed =
+   Core) — so grant/cancel sweeps keep flowing through all N+1 automata;
+   with [~stimuli:false] nothing happens and every automaton idles.
+   Returns (events, wall, minor words allocated per step, step bodies
+   per step) over the run; Zeno or Time_block would propagate and fail
+   the bench, which is the gate. *)
+let s1_emulation ?(stimuli = true) ~n ~horizon ~dt ~seed () =
   let system, p = Pte_core.Scale.system ~n () in
   let net =
     Pte_net.Star.create ~base:p.Pte_core.Params.supervisor
@@ -1751,27 +1752,38 @@ let s1_emulation ~n ~horizon ~dt ~seed =
   let init = Pte_core.Scale.initializer_name in
   let request = Pte_core.Events.stim_request ~initializer_:init in
   let cancel = Pte_core.Events.stim_cancel ~initializer_:init in
-  Pte_sim.Scenario.exponential_stimulus engine ~mean:30.0 ~immediately:true
-    ~automaton:init ~armed_in:"Fall-Back" ~root:request ();
-  Pte_sim.Scenario.exponential_stimulus engine ~mean:10.0 ~automaton:init
-    ~armed_in:"Requesting" ~root:cancel ();
-  Pte_sim.Scenario.exponential_stimulus engine ~mean:8.0 ~automaton:init
-    ~armed_in:"Risky Core" ~root:cancel ();
+  if stimuli then begin
+    Pte_sim.Scenario.exponential_stimulus engine ~mean:30.0 ~immediately:true
+      ~automaton:init ~armed_in:"Fall-Back" ~root:request ();
+    Pte_sim.Scenario.exponential_stimulus engine ~mean:10.0 ~automaton:init
+      ~armed_in:"Requesting" ~root:cancel ();
+    Pte_sim.Scenario.exponential_stimulus engine ~mean:8.0 ~automaton:init
+      ~armed_in:"Risky Core" ~root:cancel ()
+  end;
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   Pte_sim.Engine.run engine ~until:horizon;
   let wall = Unix.gettimeofday () -. t0 in
   let words = Gc.minor_words () -. w0 in
-  let steps = Float.round (Pte_sim.Engine.time engine /. dt) in
-  let events =
-    Pte_hybrid.Executor.events_processed (Pte_sim.Engine.executor engine)
-  in
-  (events, wall, words /. steps)
+  let exec = Pte_sim.Engine.executor engine in
+  let stats = Pte_hybrid.Executor.stats exec in
+  let steps = Float.of_int stats.steps in
+  ( Pte_hybrid.Executor.events_processed exec,
+    wall,
+    words /. steps,
+    Float.of_int stats.step_bodies /. steps )
 
 (* Ceiling on the N=64 smoke emulation's minor words per step (dev
    profile, as [dune build @bench-smoke] builds it). The map-valuation
    executor allocated 1822; the flat one allocates 23. *)
 let s1_smoke_words_ceiling = 100.0
+
+(* Ceiling on the idle N=64 cell's step bodies per step: an automaton
+   with nothing to do sleeps until an invariant or eager guard can
+   change, so a quiet system takes about none. The always-step executor
+   took 65 (one per automaton). *)
+let s1_idle_bodies_ceiling = 1.0
+let s1_idle_n = 64
 
 let s1_scale () =
   let module J = Pte_util.Json in
@@ -1826,25 +1838,29 @@ let s1_scale () =
            emu_horizon)
       ~header:
         [ "N"; "dt s"; "events"; "wall s"; "sim-s/wall-s"; "ev/s";
-          "minor words/step" ]
+          "minor words/step"; "step bodies/step" ]
       ~aligns:
         [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-          Table.Right; Table.Right ]
+          Table.Right; Table.Right; Table.Right ]
       ()
+  in
+  let dt = 0.01 in
+  let add_row label ~horizon (events, wall, words, bodies) =
+    Table.add_row emu
+      [ label; Table.fmt_float ~decimals:2 dt; Table.fmt_int events;
+        Table.fmt_float ~decimals:1 wall;
+        Table.fmt_float ~decimals:0 (horizon /. wall);
+        Table.fmt_float ~decimals:1 (Float.of_int events /. wall);
+        Table.fmt_float ~decimals:0 words;
+        Table.fmt_float ~decimals:2 bodies ]
   in
   let emu_cells =
     List.map
       (fun n ->
-        let dt = 0.01 in
-        let events, wall, words =
-          s1_emulation ~n ~horizon:emu_horizon ~dt ~seed
+        let ((events, wall, words, bodies) as cell) =
+          s1_emulation ~n ~horizon:emu_horizon ~dt ~seed ()
         in
-        Table.add_row emu
-          [ Table.fmt_int n; Table.fmt_float ~decimals:2 dt;
-            Table.fmt_int events; Table.fmt_float ~decimals:1 wall;
-            Table.fmt_float ~decimals:0 (emu_horizon /. wall);
-            Table.fmt_float ~decimals:1 (Float.of_int events /. wall);
-            Table.fmt_float ~decimals:0 words ];
+        add_row (Table.fmt_int n) ~horizon:emu_horizon cell;
         (* allocation is a deterministic function of the seed (unlike
            wall time), so it is the gated figure: flat valuations made an
            idle automaton allocate nothing per step *)
@@ -1853,12 +1869,28 @@ let s1_scale () =
             "S1: N=64 smoke emulation allocated %.0f minor words/step, \
              ceiling %.0f"
             words s1_smoke_words_ceiling;
-        (n, dt, events, wall, words))
+        (n, events, wall, words, bodies))
       sizes
   in
+  (* the idle cell: no stimuli, so nothing ever needs a step body after
+     the first step; gated on the deterministic body count *)
+  let idle_horizon = 60.0 in
+  let ((_, idle_wall, idle_words, idle_bodies) as idle) =
+    s1_emulation ~stimuli:false ~n:s1_idle_n ~horizon:idle_horizon ~dt ~seed ()
+  in
+  add_row (Fmt.str "%d idle" s1_idle_n) ~horizon:idle_horizon idle;
+  if idle_bodies > s1_idle_bodies_ceiling then
+    Fmt.failwith
+      "S1: idle N=%d emulation ran %.2f step bodies/step, ceiling %.0f"
+      s1_idle_n idle_bodies s1_idle_bodies_ceiling;
   Table.add_note emu
     "a cell that wedged (Zeno, time-block, non-finite timer) would have \
      aborted the run; completion is the gate";
+  Table.add_note emu
+    (Fmt.str
+       "the idle row runs %g simulated s with no stimuli; its step bodies \
+        per step are gated at <= %.0f"
+       idle_horizon s1_idle_bodies_ceiling);
   Table.print emu;
   if (not !smoke) && n_max < 1024 then
     Fmt.failwith "S1: full run must reach N=1024 (got %d)" n_max;
@@ -1877,15 +1909,22 @@ let s1_scale () =
                ("events_per_s", J.Num rate) ])
          storm_cells
       @ List.map
-          (fun (n, dt, events, wall, words) ->
+          (fun (n, events, wall, words, bodies) ->
             J.Obj
               [ ("name", J.Str (Fmt.str "emu_n%04d" n)); ("dt", J.Num dt);
                 ("events", J.Num (Float.of_int events));
                 ("wall_s", J.Num wall);
                 ("sim_per_wall", J.Num (emu_horizon /. wall));
                 ("events_per_s", J.Num (Float.of_int events /. wall));
-                ("minor_words_per_step", J.Num words) ])
-          emu_cells)
+                ("minor_words_per_step", J.Num words);
+                ("step_bodies_per_step", J.Num bodies) ])
+          emu_cells
+      @ [ J.Obj
+            [ ("name", J.Str (Fmt.str "emu_idle_n%04d" s1_idle_n));
+              ("dt", J.Num dt); ("horizon", J.Num idle_horizon);
+              ("wall_s", J.Num idle_wall);
+              ("minor_words_per_step", J.Num idle_words);
+              ("step_bodies_per_step", J.Num idle_bodies) ] ])
 
 (* ------------------------------------------------------------------ *)
 

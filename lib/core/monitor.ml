@@ -59,16 +59,72 @@ let merge_adjacent intervals =
   in
   go intervals
 
+let tidy spans =
+  merge_adjacent spans |> List.filter (fun (a, b) -> b -. a > tolerance)
+
 let risky_intervals trace ~entity ~risky ~initial ~horizon =
   Pte_hybrid.Trace.intervals trace ~automaton:entity ~member:(risky entity)
     ~initial:(initial entity) ~horizon
-  |> merge_adjacent
-  |> List.filter (fun (a, b) -> b -. a > tolerance)
+  |> tidy
+
+(* One entity's state in the one-pass scan: {!Pte_hybrid.Trace.intervals}'
+   fold, run for every entity at once. *)
+type scan = {
+  member : string -> bool;
+  mutable current : string;
+  mutable start : float;  (* of the open risky interval *)
+  mutable spans : (float * float) list;  (* closed ones, reversed *)
+}
+
+(* [risky_intervals] of every entity in [entities], in one pass over the
+   trace: transitions of other automata, and those whose [src] is not
+   the entity's current location, are skipped as there. *)
+let all_risky_intervals trace entities ~risky ~initial ~horizon =
+  let scans = Hashtbl.create (2 * List.length entities) in
+  List.iter
+    (fun entity ->
+      let current = initial entity in
+      if not (Hashtbl.mem scans entity) then begin
+        let member = risky entity in
+        Hashtbl.replace scans entity
+          { member; current; start = (if member current then 0.0 else nan);
+            spans = [] }
+      end)
+    entities;
+  let close s stop =
+    if stop > s.start then s.spans <- (s.start, stop) :: s.spans
+  in
+  List.iter
+    (fun { Pte_hybrid.Trace.time; event } ->
+      match event with
+      | Pte_hybrid.Trace.Transition { automaton; src; dst; _ } -> (
+          match Hashtbl.find_opt scans automaton with
+          | Some s when String.equal src s.current ->
+              let was = s.member s.current and is = s.member dst in
+              if was && not is then close s time;
+              if is && not was then s.start <- time;
+              s.current <- dst
+          | Some _ | None -> ())
+      | _ -> ())
+    trace;
+  Hashtbl.iter (fun _ s -> if s.member s.current then close s horizon) scans;
+  List.map
+    (fun entity -> (entity, tidy (List.rev (Hashtbl.find scans entity).spans)))
+    entities
 
 let check_rule1 (spec : Rules.t) intervals ~horizon:_ =
+  (* {!Rules.dwell_bound} as a table: a list lookup per entity is
+     quadratic in N *)
+  let bounds = Hashtbl.create (2 * List.length spec.Rules.dwell_bounds) in
+  List.iter
+    (fun (entity, bound) ->
+      if not (Hashtbl.mem bounds entity) then Hashtbl.replace bounds entity bound)
+    spec.Rules.dwell_bounds;
   List.concat_map
     (fun (entity, spans) ->
-      let bound = Rules.dwell_bound spec entity in
+      let bound =
+        match Hashtbl.find_opt bounds entity with Some b -> b | None -> infinity
+      in
       List.filter_map
         (fun (start, stop) ->
           if stop -. start > bound +. tolerance then
@@ -121,13 +177,16 @@ let check_pair (pair : Rules.pair) ~outer_spans ~inner_spans ~horizon =
 
 let analyze trace (spec : Rules.t) ~risky ~initial ~horizon =
   let intervals =
-    List.map
-      (fun entity ->
-        (entity, risky_intervals trace ~entity ~risky ~initial ~horizon))
-      spec.Rules.order
+    all_risky_intervals trace spec.Rules.order ~risky ~initial ~horizon
   in
+  let by_entity = Hashtbl.create (2 * List.length intervals) in
+  List.iter
+    (fun (entity, spans) ->
+      if not (Hashtbl.mem by_entity entity) then
+        Hashtbl.replace by_entity entity spans)
+    intervals;
   let spans_of entity =
-    match List.assoc_opt entity intervals with Some s -> s | None -> []
+    match Hashtbl.find_opt by_entity entity with Some s -> s | None -> []
   in
   let rule1 = check_rule1 spec intervals ~horizon in
   let rule2 =
@@ -144,13 +203,24 @@ let analyze trace (spec : Rules.t) ~risky ~initial ~horizon =
 (** Convenience: derive [risky]/[initial] from the hybrid system's
     automata (risky-locations as declared on the automata). *)
 let analyze_system trace (system : Pte_hybrid.System.t) spec ~horizon =
+  (* name -> automaton, the first of a repeated name as [System.find] *)
+  let automata = Hashtbl.create (2 * List.length system.Pte_hybrid.System.automata) in
+  List.iter
+    (fun (a : Pte_hybrid.Automaton.t) ->
+      if not (Hashtbl.mem automata a.Pte_hybrid.Automaton.name) then
+        Hashtbl.replace automata a.Pte_hybrid.Automaton.name a)
+    system.Pte_hybrid.System.automata;
   let risky entity location =
-    match Pte_hybrid.System.find system entity with
+    match Hashtbl.find_opt automata entity with
     | Some a -> Pte_hybrid.Automaton.is_risky a location
     | None -> false
   in
   let initial entity =
-    (Pte_hybrid.System.find_exn system entity).Pte_hybrid.Automaton.initial_location
+    match Hashtbl.find_opt automata entity with
+    | Some a -> a.Pte_hybrid.Automaton.initial_location
+    | None ->
+        (* raises, naming the system and the entity *)
+        (Pte_hybrid.System.find_exn system entity).Pte_hybrid.Automaton.initial_location
   in
   analyze trace spec ~risky ~initial ~horizon
 

@@ -53,7 +53,24 @@
     {!Guard.eps} comparisons, the 30-round [a +. alpha *. (b -. a)]
     bisection — so traces are byte-identical to it (pinned by two
     recorded traces). Only {!Flow.Ode} locations (the patient model)
-    still see a {!Valuation.t}, built from the array each step. *)
+    still see a {!Valuation.t}, built from the array each step.
+
+    Automata sleep. A step runs the step body (Euler advance, invariant
+    check, bisection) only for automata whose [wake] step has come, in
+    index order; the others' steps are plain Euler additions that cannot
+    change the trace, so they are deferred and replayed — the same
+    [x +. rate *. span] operations in step order — when the valuation is
+    next read (delivery, chase, {!value_of}, {!set_value}, sampling,
+    {!halt}, {!restart}, {!set_rate}). After each body the wake step is
+    predicted in closed form from the location's atoms
+    ({!Guard.flat_steps_to_violate}, {!Guard.flat_steps_to_satisfy}),
+    early by a proven float-error margin: an early wake only runs a body
+    that changes nothing. A location with no invariant and no eager edge
+    never wakes; an ODE location wakes every step; any discrete change or
+    outside write wakes the automaton for the next step. The least wake
+    step is kept, so a step at which no automaton is due skips the scan,
+    and stabilization scans only while some automaton is marked active:
+    an idle step costs O(1), not O(N). *)
 
 exception Time_block of { automaton : string; location : string; time : float }
 exception Zeno of { automaton : string; time : float }
@@ -138,7 +155,13 @@ type automaton_state = {
   mutable rate : float;
       (* local clock-drift factor: its flows advance [rate * dt] per step *)
   mutable active : bool;
-      (* needs an eager re-chase in the next stabilization round *)
+      (* needs an eager re-chase in the next stabilization round; set
+         through [activate] *)
+  mutable synced : int;
+      (* step bodies [values] reflects: the Euler additions of later
+         steps, skipped while the automaton slept, are replayed on read *)
+  deltas : float array;
+      (* per-slot addition of one step (scratch of the wake prediction) *)
 }
 
 type token = int
@@ -157,6 +180,17 @@ type t = {
          pops skip entries whose token is no longer live *)
   mutable next_token : int;
   mutable events : int;  (* deliveries + timer firings + transitions *)
+  mutable n_active : int;  (* automata with [active] set *)
+  wake : int array;
+      (* states index -> first step whose step body must run; the
+         bodies of earlier steps are plain Euler additions *)
+  mutable next_wake : int;  (* at most the least of [wake] *)
+  mutable steps : int;  (* completed steps *)
+  mutable cursor : int;
+      (* the step loop's position: automata below it have taken the
+         current step already *)
+  mutable step_bodies : int;
+  mutable catchup_steps : int;
   recorder : Trace.Recorder.recorder;
   mutable router : router;
   mutable next_sample : float;
@@ -297,9 +331,26 @@ let build_state ix (a : Automaton.t) =
     halted = false;
     rate = 1.0;
     active = true;
+    synced = 0;
+    deltas = Array.make (Array.length initial) 0.0;
   }
 
+let validate_config c =
+  let positive x = Float.is_finite x && x > 0.0 in
+  if not (positive c.dt) then
+    Fmt.invalid_arg "executor: config.dt must be finite and positive, got %g"
+      c.dt;
+  if c.sample_vars <> [] && not (positive c.sample_period) then
+    Fmt.invalid_arg
+      "executor: config.sample_period must be finite and positive when \
+       sample_vars is set, got %g"
+      c.sample_period;
+  if c.max_chain < 1 then
+    Fmt.invalid_arg "executor: config.max_chain must be at least 1, got %d"
+      c.max_chain
+
 let create ?(config = default_config) ?trace_sink system =
+  validate_config config;
   let system = System.validate_exn system in
   let recorder = Trace.Recorder.create ?sink:trace_sink () in
   let automata = Array.of_list system.System.automata in
@@ -347,6 +398,13 @@ let create ?(config = default_config) ?trace_sink system =
     live = Hashtbl.create 64;
     next_token = 0;
     events = 0;
+    n_active = n;
+    wake = Array.make n 0;
+    next_wake = 0;
+    steps = 0;
+    cursor = 0;
+    step_bodies = 0;
+    catchup_steps = 0;
     recorder;
     router = reliable_router;
     next_sample = 0.0;
@@ -357,6 +415,12 @@ let time t = t.now
 let trace t = Trace.Recorder.entries t.recorder
 let events_processed t = t.events
 
+type stats = { steps : int; step_bodies : int; catchup_steps : int }
+
+let stats (t : t) =
+  { steps = t.steps; step_bodies = t.step_bodies;
+    catchup_steps = t.catchup_steps }
+
 let state_ix t name =
   match Hashtbl.find_opt t.index name with
   | Some ix -> ix
@@ -366,14 +430,102 @@ let state t name = t.states.(state_ix t name)
 
 let location_of t name = (state t name).info.loc.Location.name
 
+(* {2 Sleeping automata}
+
+   A step body (Euler advance, invariant check, bisection) runs only for
+   automata whose [wake] step has come. Until then a constant-rate
+   automaton's step is one addition per slot with no effect on the
+   trace, so it is deferred: every read of the valuation first replays
+   the skipped additions as the same float operations, in step order
+   for each slot. Reads after the step loop passed an automaton see the
+   current step taken. *)
+
+(* The step count [st]'s valuation must reflect when read now. *)
+let read_step t st = if st.ix < t.cursor then t.steps + 1 else t.steps
+
+(* Replay the Euler additions of the steps [st.synced .. target - 1].
+   Slot by slot: an automaton that is behind sleeps in its location,
+   and a flow adding to one slot twice a step never sleeps
+   ({!steps_to_wake}), so each slot's additions are independent. *)
+let catch_up t st target =
+  let k = target - st.synced in
+  if k > 0 then begin
+    if not st.halted then begin
+      (match st.info.flow with
+      | Const { slots; rates } ->
+          let span = t.config.dt *. st.rate in
+          if not (span <= 0.0) then begin
+            let values = st.values in
+            for m = 0 to Array.length slots - 1 do
+              let j = slots.(m) in
+              let delta = rates.(m) *. span in
+              let x = ref values.(j) in
+              for _ = 1 to k do
+                x := !x +. delta
+              done;
+              values.(j) <- !x
+            done
+          end
+      | Ode _ -> assert false (* an ODE location wakes every step *));
+      t.catchup_steps <- t.catchup_steps + k
+    end;
+    st.synced <- target
+  end
+
+let sync t st = catch_up t st (read_step t st)
+
+(* Steps until [st]'s next step body must run: the first Euler addition
+   that can break the invariant or enable an eager edge (see
+   {!Guard.flat_steps_to_violate}); [max_int] when none can. An ODE
+   location, or a flow adding to one slot twice a step, wakes every
+   step. *)
+let steps_to_wake t st =
+  let info = st.info in
+  match info.flow with
+  | Ode _ -> 1
+  | Const { slots; rates } ->
+      let deltas = st.deltas and values = st.values in
+      let span = t.config.dt *. st.rate in
+      for j = 0 to Array.length deltas - 1 do
+        deltas.(j) <- 0.0
+      done;
+      let twice = ref false in
+      for m = 0 to Array.length slots - 1 do
+        let j = slots.(m) in
+        if deltas.(j) <> 0.0 then twice := true;
+        deltas.(j) <- rates.(m) *. span
+      done;
+      if !twice then 1
+      else begin
+        let n = ref (Guard.flat_steps_to_violate info.invariant values deltas) in
+        let eager = info.eager in
+        for k = 0 to Array.length eager - 1 do
+          n := Int.min !n (Guard.flat_steps_to_satisfy eager.(k).guard values deltas)
+        done;
+        !n
+      end
+
+(* A discrete change or an outside write: take the next step body. *)
+let wake_now t st =
+  t.wake.(st.ix) <- 0;
+  t.next_wake <- 0
+
+let activate t st =
+  if not st.active then begin
+    st.active <- true;
+    t.n_active <- t.n_active + 1
+  end
+
 (* A variable the automaton does not declare reads as 0, the
    {!Valuation} convention. *)
-let read st var =
+let read t st var =
   match Hashtbl.find_opt st.slots var with
-  | Some j -> st.values.(j)
+  | Some j ->
+      sync t st;
+      st.values.(j)
   | None -> 0.0
 
-let value_of t name var = read (state t name) var
+let value_of t name var = read t (state t name) var
 let dwell_time t name = t.now -. (state t name).entered_at
 
 (** Overwrite one variable, bypassing flows and resets. This is the hook
@@ -385,8 +537,11 @@ let dwell_time t name = t.now -. (state t name).entered_at
     the automaton does not declare [var]. *)
 let set_value t name var value =
   let st = state t name in
-  st.values.(slot_exn st.automaton st.slots var) <- value;
-  st.active <- true
+  let j = slot_exn st.automaton st.slots var in
+  sync t st;
+  st.values.(j) <- value;
+  activate t st;
+  wake_now t st
 
 let record t event = Trace.Recorder.record t.recorder ~time:t.now event
 let note t text = record t (Trace.Note text)
@@ -399,6 +554,7 @@ let note t text = record t (Trace.Note text)
 let halt t name =
   let st = state t name in
   if not st.halted then begin
+    sync t st;
     st.halted <- true;
     note t (Printf.sprintf "fault: %s crashed" name)
   end
@@ -410,8 +566,10 @@ let restart t name =
   st.halted <- false;
   st.info <- info_of st st.automaton.Automaton.initial_location;
   Array.blit st.initial 0 st.values 0 (Array.length st.values);
+  st.synced <- read_step t st;
   st.entered_at <- t.now;
-  st.active <- true;
+  activate t st;
+  wake_now t st;
   note t (Printf.sprintf "fault: %s restarted" name);
   record t
     (Trace.Enter_location
@@ -425,7 +583,10 @@ let is_halted t name = (state t name).halted
 let set_rate t name rate =
   if rate <= 0.0 || not (Float.is_finite rate) then
     Fmt.invalid_arg "executor: clock rate must be positive, got %g" rate;
-  (state t name).rate <- rate
+  let st = state t name in
+  sync t st;
+  st.rate <- rate;
+  wake_now t st
 
 let rate t name = (state t name).rate
 
@@ -525,7 +686,8 @@ let fire t st c ~forced =
   apply_reset st c;
   st.info <- info_of st edge.dst;
   st.entered_at <- t.now;
-  st.active <- true;
+  activate t st;
+  wake_now t st;
   t.events <- t.events + 1;
   record t
     (Trace.Enter_location
@@ -551,6 +713,7 @@ let first_enabled edges values =
 let deliver t ~receiver ~root =
   let st = t.states.(receiver) in
   let name = st.automaton.Automaton.name in
+  sync t st;
   t.events <- t.events + 1;
   if st.halted then begin
     (* a crashed node's radio is off: the frame arrives at nobody *)
@@ -636,9 +799,18 @@ let stabilize t =
           progress := true
       | None -> draining := false
     done;
-    for i = 0 to n - 1 do
-      let st = t.states.(i) in
-      if st.active && not st.halted then begin
+    (* the active automata, in index order; a halted one drops its mark
+       ({!restart} sets it again) *)
+    let i = ref 0 in
+    while t.n_active > 0 && !i < n do
+      let st = t.states.(!i) in
+      incr i;
+      if st.active && st.halted then begin
+        st.active <- false;
+        t.n_active <- t.n_active - 1
+      end
+      else if st.active then begin
+        sync t st;
         (* chase: fire enabled eager edges, at most [max_chain] *)
         let chain = ref 0 in
         let chasing = ref true in
@@ -662,7 +834,8 @@ let stabilize t =
         done;
         (* fixpoint reached: nothing eager is enabled here until a
            later delivery, mutation or continuous step re-marks it *)
-        st.active <- false
+        st.active <- false;
+        t.n_active <- t.n_active - 1
       end
     done
   done
@@ -749,38 +922,59 @@ let sample t =
       | None -> ()
       | Some ix ->
           record t
-            (Trace.Sample { automaton; var; value = read t.states.(ix) var }))
+            (Trace.Sample { automaton; var; value = read t t.states.(ix) var }))
     t.config.sample_vars
 
 (** Advance the whole system by one step of [config.dt]. *)
 let step t =
+  t.cursor <- 0 (* a raise inside the loop below leaves it set *);
   stabilize t;
   let start = t.now in
+  let s = t.steps in
   let dt = t.config.dt in
-  let states = t.states in
-  for i = 0 to Array.length states - 1 do
-    let st = states.(i) in
-    if not st.halted then begin
-      let span = dt *. st.rate in
-      let info = st.info in
-      (match info.flow with
-      | Const { slots; rates } when not (span <= 0.0) ->
-          (* {!euler} inlined: no call, hence no boxed [span] *)
-          let values = st.values in
-          let bounded = Array.length info.invariant.Guard.slots > 0 in
-          if bounded then Array.blit values 0 st.before 0 (Array.length values);
-          for k = 0 to Array.length slots - 1 do
-            let j = slots.(k) in
-            values.(j) <- values.(j) +. (rates.(k) *. span)
-          done;
-          if bounded && not (Guard.flat_holds info.invariant values) then
-            cross_boundary t st ~start ~span ~depth:0
-      | Const _ | Ode _ -> advance_automaton t st ~start ~span ~depth:0);
-      (* time passed: only a location with eager spontaneous edges can
-         have gained an enabled transition from it *)
-      if st.info.has_eager then st.active <- true
-    end
-  done;
+  let states = t.states and wake = t.wake in
+  (* no automaton is due: skip the scan *)
+  if t.next_wake <= s then begin
+    t.next_wake <- max_int;
+    let next = ref max_int in
+    for i = 0 to Array.length states - 1 do
+      if wake.(i) <= s then begin
+        let st = states.(i) in
+        if st.halted then wake.(i) <- max_int (* {!restart} wakes it *)
+        else begin
+          t.cursor <- i;
+          catch_up t st s;
+          t.step_bodies <- t.step_bodies + 1;
+          let span = dt *. st.rate in
+          let info = st.info in
+          (match info.flow with
+          | Const { slots; rates } when not (span <= 0.0) ->
+              (* {!euler} inlined: no call, hence no boxed [span] *)
+              let values = st.values in
+              let bounded = Array.length info.invariant.Guard.slots > 0 in
+              if bounded then Array.blit values 0 st.before 0 (Array.length values);
+              for k = 0 to Array.length slots - 1 do
+                let j = slots.(k) in
+                values.(j) <- values.(j) +. (rates.(k) *. span)
+              done;
+              if bounded && not (Guard.flat_holds info.invariant values) then
+                cross_boundary t st ~start ~span ~depth:0
+          | Const _ | Ode _ -> advance_automaton t st ~start ~span ~depth:0);
+          st.synced <- s + 1;
+          (* time passed: only a location with eager spontaneous edges can
+             have gained an enabled transition from it *)
+          if st.info.has_eager then activate t st;
+          let n = steps_to_wake t st in
+          wake.(i) <- (if n = max_int then max_int else s + n)
+        end
+      end;
+      if wake.(i) < !next then next := wake.(i)
+    done;
+    (* a [wake_now] during the loop set it to 0: keep that *)
+    t.next_wake <- Int.min !next t.next_wake
+  end;
+  t.cursor <- 0;
+  t.steps <- s + 1;
   t.now <- start +. dt;
   stabilize t;
   if t.config.sample_vars <> [] && t.now >= t.next_sample -. 1e-12 then begin

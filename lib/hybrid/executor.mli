@@ -15,10 +15,16 @@
     numbered at {!create}. Each location's dispatch index, rates,
     invariant, guards and resets are compiled against those slots on
     the location's first entry. An activity-set stabilization re-chases
-    only automata that changed since the last fixpoint. An idle
-    constant-rate automaton allocates nothing per step. Traces equal
-    those of the original sorted-list, full-scan, map-valuation engine,
-    pinned by two recorded traces in the test suite. *)
+    only automata that changed since the last fixpoint. Automata sleep:
+    a step runs the step body (Euler advance, invariant check,
+    bisection) only for automata whose invariant or eager guards can
+    change at that step, predicted in closed form with a proven
+    float-error margin; the skipped Euler additions are replayed, as the
+    same float operations in the same order, when the valuation is next
+    read. An idle constant-rate automaton costs nothing per step and
+    allocates nothing. Traces equal those of the original sorted-list,
+    full-scan, map-valuation, always-step engine, pinned by three
+    recorded traces in the test suite. *)
 
 exception
   Time_block of { automaton : string; location : string; time : float }
@@ -58,7 +64,12 @@ type t
 
 val create :
   ?config:config -> ?trace_sink:(Trace.entry -> unit) -> System.t -> t
-(** Validates the system. [trace_sink] streams entries as they happen. *)
+(** Validates the system and the config. [trace_sink] streams entries as
+    they happen. Raises [Invalid_argument] naming the field for a
+    non-finite or non-positive [dt], a non-finite or non-positive
+    [sample_period] when [sample_vars] is not empty, and [max_chain < 1]
+    (which would hang {!run}, stall the clock at NaN, or raise a
+    spurious {!Zeno}). *)
 
 val set_router : t -> router -> unit
 val time : t -> float
@@ -68,6 +79,20 @@ val events_processed : t -> int
 (** Monotone count of discrete work done so far: message deliveries,
     timer firings and transitions. Cheap (no trace traversal) — the
     throughput benchmarks' events/sec numerator. *)
+
+type stats = {
+  steps : int;  (** completed {!step}s *)
+  step_bodies : int;
+      (** automaton-steps that ran the step body (Euler advance,
+          invariant check, bisection); the rest slept *)
+  catchup_steps : int;
+      (** automaton-steps whose Euler additions a read replayed after
+          the automaton slept through them *)
+}
+
+val stats : t -> stats
+(** Deterministic work counters: a function of the system, the config
+    and the inputs, never of the host. *)
 
 (** {2 Revocable scheduling}
 

@@ -155,6 +155,92 @@ let time_to_violate atom ~value ~rate =
     | Gt | Ge -> if rate < 0.0 then escape atom.bound else None
     | Eq -> if Float.abs rate < eps then None else Some 0.0
 
+(* {2 Step prediction}
+
+   The executor advances a constant-rate variable by repeated float
+   additions [x +. delta], one per step. [flip_steps] bounds from below
+   the first addition [n >= 1] that can change an atom's truth, so the
+   executor may skip the steps before it.
+
+   Proof sketch. Rounding is monotone, so the computed sequence never
+   moves against [delta]: motion away from the atom's boundary (or
+   [delta = 0]) never changes its truth. Toward the boundary, each
+   addition rounds with relative error at most u = 2^-53, so after
+   [n <= 2^30] additions the computed value is within
+   [E_n <= 1.0000001 * n * u * (|value| + n * |delta|)] of the exact
+   [value + n * delta]. The boundary is the float [bound ± eps] that
+   {!cmp_holds} compares against (Eq: within 2u (|bound| + eps) of it,
+   as [|x - bound|] is rounded). [err] below is 8x those terms plus the
+   rounding of [gap] and of the quotient, so every addition before
+   [floor ((gap - err) / |delta|)] stays strictly on the current side.
+   Predictions stop at 2^30 additions; the executor then predicts
+   again. *)
+
+let max_flip_steps = 1 lsl 30
+
+let[@inline] flip_steps cmp ~bound ~value ~delta ~holds =
+  if not (Float.is_finite value && Float.is_finite delta) then 1
+  else
+    (* the boundary the motion heads for, or nan when it heads away *)
+    let target =
+      match cmp with
+      | Lt | Le ->
+          if (holds && delta > 0.0) || ((not holds) && delta < 0.0) then
+            bound +. eps
+          else nan
+      | Gt | Ge ->
+          if (holds && delta < 0.0) || ((not holds) && delta > 0.0) then
+            bound -. eps
+          else nan
+      | Eq when holds ->
+          if delta > 0.0 then bound +. eps
+          else if delta < 0.0 then bound -. eps
+          else nan
+      | Eq ->
+          if value < bound && delta > 0.0 then bound -. eps
+          else if value > bound && delta < 0.0 then bound +. eps
+          else nan
+    in
+    if Float.is_nan target then max_int
+    else
+      let step = Float.abs delta in
+      let gap = Float.abs (target -. value) in
+      let n = Float.min (gap /. step) (Float.of_int max_flip_steps) in
+      let err =
+        (n +. 8.0) *. 0x1p-50
+        *. (Float.abs value +. (n *. step) +. Float.abs bound +. eps)
+      in
+      let q = (gap -. err) /. step in
+      if not (q >= 1.0) then 1
+      else if q >= Float.of_int max_flip_steps then max_flip_steps
+      else Float.to_int q
+
+let steps_to_flip cmp ~bound ~value ~delta =
+  flip_steps cmp ~bound ~value ~delta ~holds:(cmp_holds cmp ~bound value)
+
+(* First addition at which atom [k] may have truth [want]: 1 when it
+   already has it. *)
+let[@inline] atom_steps f values deltas k ~want =
+  let j = f.slots.(k) in
+  let cmp = f.cmps.(k) and bound = f.bounds.(k) and value = values.(j) in
+  let holds = cmp_holds cmp ~bound value in
+  if holds = want then 1
+  else flip_steps cmp ~bound ~value ~delta:deltas.(j) ~holds
+
+let flat_steps_to_violate f values deltas =
+  let n = ref max_int in
+  for k = 0 to Array.length f.slots - 1 do
+    n := Int.min !n (atom_steps f values deltas k ~want:false)
+  done;
+  !n
+
+let flat_steps_to_satisfy f values deltas =
+  let n = ref 1 in
+  for k = 0 to Array.length f.slots - 1 do
+    n := Int.max !n (atom_steps f values deltas k ~want:true)
+  done;
+  !n
+
 (** Earliest time a conjunction is violated under per-variable constant
     rates (max of per-atom satisfaction is not needed for invariants; the
     invariant fails as soon as any atom fails). *)

@@ -80,3 +80,28 @@ val flat_holds_between :
 (** [flat_holds_between f ~from ~target alpha] evaluates the guard at
     [from + alpha * (target - from)], computed per atom exactly as the
     executor interpolates (its invariant-boundary bisection). *)
+
+(** {2 Step prediction}
+
+    A constant-rate variable advances by repeated float additions
+    [x +. delta], one per executor step. These bound from below the
+    first addition after which an atom's truth can change, so the
+    executor can skip the steps before it without changing a trace. *)
+
+val steps_to_flip : cmp -> bound:float -> value:float -> delta:float -> int
+(** [steps_to_flip cmp ~bound ~value ~delta] is [n >= 1] such that for
+    every [k < n], adding [delta] to [value] [k] times in floating point
+    leaves the atom's truth (with {!eps} slack) as it is at [value].
+    [max_int] when no number of additions can change it (motion away
+    from the boundary, or [delta = 0]); otherwise at most 2{^30} (predict
+    again after). [1] for a non-finite [value] or [delta]. *)
+
+val flat_steps_to_violate : flat -> float array -> float array -> int
+(** [flat_steps_to_violate f values deltas]: a lower bound [n >= 1] on
+    the first addition of [deltas.(slot)] to every slot after which the
+    conjunction can be false ([1] when it is false now); [max_int] when
+    never. Allocates nothing. *)
+
+val flat_steps_to_satisfy : flat -> float array -> float array -> int
+(** Likewise for the first addition after which the conjunction can
+    hold ([1] when it holds now): the latest of its atoms' bounds. *)

@@ -421,12 +421,16 @@ let test_sampler_catches_up () =
 let legacy_fixture = "fixtures/legacy-busy-n3.trace"
 
 (* Check [trace] against a recorded fixture entry by entry, naming the
-   first difference; returns the fixture's lines. *)
+   first difference; returns the fixture's lines. Times and sampled
+   values are rendered exactly ([%h]). *)
 let replay_fixture fixture trace =
   let actual =
     List.map
       (fun (e : Trace.entry) ->
-        Fmt.str "%h %a" e.Trace.time Trace.pp_event e.Trace.event)
+        match e.Trace.event with
+        | Trace.Sample { automaton; var; value } ->
+            Fmt.str "%h %s.%s = %h" e.Trace.time automaton var value
+        | event -> Fmt.str "%h %a" e.Trace.time Trace.pp_event event)
       trace
   in
   let expected =
@@ -462,6 +466,238 @@ let test_heap_legacy_traces_identical () =
     [ (0.5, request); (9.0, cancel); (12.0, request); (40.0, cancel) ];
   Executor.run exec ~until:60.0;
   let expected = replay_fixture legacy_fixture (Executor.trace exec) in
+  Alcotest.(check int) "fixture length" 122 (List.length expected)
+
+(* Five automata whose clocks run untouched for long stretches, driven
+   from timers through every external read and write of the executor:
+   - [down] counts down from a nonzero start (rate -1, later 1.25 after
+     [set_rate]); its [c > 0] invariant is bisected after 124k steps,
+     and an eager [c < 10 /\ k >= 1] edge (Lt, and a rate-0 atom) moves
+     it to [Low] on later rounds;
+   - [up] climbs from 0.25 to an eager [x > 120] edge (119,750 steps of
+     dwell) that sends [ping], then leaves [Busy] when its [x < 126]
+     invariant is bisected;
+   - [data]'s eager edges read a rate-0 [flag] through Eq atoms, flipped
+     by [set_value] while its clock [t] runs, and a [t > 200] Gt atom;
+   - [listener] takes [ping] only once its clock passed 50;
+   - [sleeper] has no invariant and no eager edge; it gets [set_rate],
+     [halt], [value_of] reads and [restart].
+   Samples of every clock each 25 s. *)
+let sleep_edge_cases () =
+  let open Guard in
+  let reload = [ ("c", Reset.Set_const 37.5); ("k", Reset.Add_const 1.0) ] in
+  let countdown = Flow.Rates [ ("c", -1.0) ] in
+  let down =
+    Automaton.make ~name:"down" ~vars:[ "c"; "k" ]
+      ~locations:
+        [ Location.make ~flow:countdown ~invariant:[ "c" >. 0.0 ] "Count";
+          Location.make ~flow:countdown ~invariant:[ "c" >. 0.0 ] "Low" ]
+      ~edges:
+        [ Edge.make ~guard:[ "c" <. 10.0; "k" >=. 1.0 ] ~src:"Count" ~dst:"Low" ();
+          Edge.make ~urgency:Edge.Delayed ~reset:reload ~src:"Count" ~dst:"Count" ();
+          Edge.make ~urgency:Edge.Delayed ~reset:reload ~src:"Low" ~dst:"Count" () ]
+      ~initial_location:"Count" ~initial_values:[ ("c", 150.0) ] ()
+  in
+  let up =
+    Automaton.make ~name:"up" ~vars:[ "x" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.clocks [ "x" ]) "Idle";
+          Location.make ~flow:(Flow.clocks [ "x" ]) ~invariant:[ "x" <. 126.0 ] "Busy" ]
+      ~edges:
+        [ Edge.make ~guard:[ "x" >. 120.0 ] ~label:(Label.Send "ping") ~src:"Idle"
+            ~dst:"Busy" ();
+          Edge.make ~urgency:Edge.Delayed ~reset:(Reset.set "x" 0.5) ~src:"Busy"
+            ~dst:"Idle" () ]
+      ~initial_location:"Idle" ~initial_values:[ ("x", 0.25) ] ()
+  in
+  let data =
+    Automaton.make ~name:"data" ~vars:[ "flag"; "t" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.clocks [ "t" ]) "Off";
+          Location.make ~flow:(Flow.clocks [ "t" ]) "On" ]
+      ~edges:
+        [ Edge.make ~guard:[ "flag" =. 1.0 ] ~src:"Off" ~dst:"On" ();
+          Edge.make ~guard:[ "flag" =. 0.0; "t" >. 200.0 ] ~src:"On" ~dst:"Off" () ]
+      ~initial_location:"Off" ()
+  in
+  let listener =
+    Automaton.make ~name:"listener" ~vars:[ "y" ]
+      ~locations:[ Location.make ~flow:(Flow.clocks [ "y" ]) "Rx" ]
+      ~edges:
+        [ Edge.make ~guard:[ "y" >. 50.0 ] ~reset:(Reset.set "y" 0.0)
+            ~label:(Label.Recv "ping") ~src:"Rx" ~dst:"Rx" () ]
+      ~initial_location:"Rx" ()
+  in
+  let sleeper =
+    Automaton.make ~name:"sleeper" ~vars:[ "z" ]
+      ~locations:[ Location.make ~flow:(Flow.Rates [ ("z", 2.0) ]) "Drift" ]
+      ~edges:[] ~initial_location:"Drift" ~initial_values:[ ("z", 3.0) ] ()
+  in
+  let config =
+    { Executor.default_config with
+      sample_period = 25.0;
+      sample_vars =
+        [ ("sleeper", "z"); ("down", "c"); ("up", "x"); ("data", "t");
+          ("listener", "y") ] }
+  in
+  let exec =
+    Executor.create ~config (system_of [ down; up; data; listener; sleeper ])
+  in
+  let read name var ex =
+    Executor.note ex
+      (Printf.sprintf "%s.%s %h" name var (Executor.value_of ex name var))
+  in
+  List.iter
+    (fun (at, f) -> ignore (Executor.schedule exec ~at f))
+    [ (20.0, fun ex -> Executor.set_rate ex "down" 1.25);
+      (30.0, fun ex -> Executor.set_rate ex "sleeper" 0.5);
+      (50.0, read "down" "c");
+      (60.0, fun ex -> Executor.set_value ex "data" "flag" 1.0);
+      (70.0, read "up" "x");
+      (80.0, fun ex -> Executor.halt ex "sleeper");
+      (90.0, fun ex -> Executor.set_value ex "data" "flag" 0.0);
+      (95.0, read "sleeper" "z");
+      (100.0, fun ex -> Executor.restart ex "sleeper");
+      (170.0, read "sleeper" "z");
+      (230.0, read "listener" "y") ];
+  Executor.run exec ~until:300.0;
+  Executor.trace exec
+
+let sleep_fixture = "fixtures/sleep-edge-cases.trace"
+
+(* ---- config validation: each bad value used to hang [run], return a
+        NaN clock or raise a misleading Zeno ---- *)
+
+let clock_system () =
+  system_of
+    [ Automaton.make ~name:"clk" ~vars:[ "c" ]
+        ~locations:[ Location.make ~flow:(Flow.clocks [ "c" ]) "L" ]
+        ~edges:[] ~initial_location:"L" () ]
+
+let expect_bad_config field configs =
+  List.iter
+    (fun config ->
+      expect_invalid_arg field [ field ] (fun () ->
+          ignore (Executor.create ~config (clock_system ()))))
+    configs
+
+let test_config_rejects_bad_dt () =
+  expect_bad_config "config.dt"
+    (List.map
+       (fun dt -> { Executor.default_config with dt })
+       [ 0.0; -1e-3; nan; infinity ])
+
+let test_config_rejects_bad_sample_period () =
+  let sampling sample_period =
+    { Executor.default_config with
+      sample_period; sample_vars = [ ("clk", "c") ] }
+  in
+  expect_bad_config "config.sample_period"
+    (List.map sampling [ 0.0; -1.0; nan; infinity ]);
+  (* without sample_vars the period is never read *)
+  ignore
+    (Executor.create
+       ~config:{ Executor.default_config with sample_period = 0.0 }
+       (clock_system ()))
+
+let test_config_rejects_bad_max_chain () =
+  expect_bad_config "config.max_chain"
+    (List.map
+       (fun max_chain -> { Executor.default_config with max_chain })
+       [ 0; -5 ])
+
+let test_reads_during_the_step_loop () =
+  (* a router runs inside the step loop, here from [mid]'s forced
+     transition: it must see [lo], which the loop has passed, with the
+     current step taken and [hi] without it, as when every automaton
+     stepped every step; its write to [lo] puts [lo]'s invariant
+     boundary 5 steps ahead, which [lo] must not sleep through *)
+  let clock name =
+    Automaton.make ~name ~vars:[ "c" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.clocks [ "c" ])
+            ~invariant:[ Guard.atom "c" Guard.Le 200.0 ] "L";
+          Location.make "M" ]
+      ~edges:
+        [ Edge.make ~label:(Label.Recv "go") ~src:"L" ~dst:"L" ();
+          Edge.make ~urgency:Edge.Delayed ~src:"L" ~dst:"M" () ]
+      ~initial_location:"L" ()
+  in
+  let mid =
+    Automaton.make ~name:"mid" ~vars:[ "x" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.clocks [ "x" ])
+            ~invariant:[ Guard.atom "x" Guard.Le 0.5 ] "L" ]
+      ~edges:
+        [ Edge.make ~urgency:Edge.Delayed ~reset:(Reset.set "x" 0.0)
+            ~label:(Label.Send "go") ~src:"L" ~dst:"L" () ]
+      ~initial_location:"L" ()
+  in
+  let exec = Executor.create (system_of [ clock "lo"; mid; clock "hi" ]) in
+  let seen = ref [] in
+  Executor.set_router exec (fun ~time:_ ~sender:_ ~root:_ ~receiver ->
+      seen :=
+        ( receiver,
+          (Executor.stats exec).steps,
+          Executor.value_of exec receiver "c" )
+        :: !seen;
+      if receiver = "lo" then Executor.set_value exec "lo" "c" 199.995;
+      Executor.Lose);
+  Executor.run exec ~until:0.6;
+  (match Trace.transitions_of (Executor.trace exec) ~automaton:"lo" with
+  | [ (time, "L", "M", _) ] ->
+      if Float.abs (time -. 0.505) > 1.5e-3 then
+        Alcotest.failf "lo left L at %g, expected 0.505" time
+  | _ -> Alcotest.fail "expected lo to be forced out of L once");
+  let replay n =
+    let c = ref 0.0 in
+    for _ = 1 to n do c := !c +. (1.0 *. 1e-3) done;
+    !c
+  in
+  match List.rev !seen with
+  | [ ("lo", s, lo); ("hi", s', hi) ] ->
+      Alcotest.(check int) "one step" s s';
+      Alcotest.(check (float 0.0)) "lo has taken the step" (replay (s + 1)) lo;
+      Alcotest.(check (float 0.0)) "hi has not" (replay s) hi
+  | _ -> Alcotest.failf "expected one routed send to lo and hi"
+
+let test_slot_listed_twice () =
+  (* [x' = 1, x' = 1] adds twice per step: the boundary of [x <= 1] is
+     reached at 0.5 s, whatever the wake prediction makes of the flow *)
+  let a =
+    Automaton.make ~name:"twice" ~vars:[ "x" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.Rates [ ("x", 1.0); ("x", 1.0) ])
+            ~invariant:[ Guard.atom "x" Guard.Le 1.0 ] "Up";
+          Location.make "Done" ]
+      ~edges:[ Edge.make ~urgency:Edge.Delayed ~src:"Up" ~dst:"Done" () ]
+      ~initial_location:"Up" ()
+  in
+  let exec = Executor.create (system_of [ a ]) in
+  Executor.run exec ~until:2.0;
+  match Trace.transitions_of (Executor.trace exec) ~automaton:"twice" with
+  | [ (time, "Up", "Done", _) ] ->
+      if Float.abs (time -. 0.5) > 1e-3 then
+        Alcotest.failf "forced at %g, expected 0.5" time
+  | _ -> Alcotest.fail "expected one forced transition"
+
+let test_idle_automata_sleep () =
+  (* an automaton with no invariant and no eager edge runs its step body
+     once, then sleeps; a read replays the skipped additions exactly *)
+  let exec = Executor.create (clock_system ()) in
+  for _ = 1 to 1000 do Executor.step exec done;
+  let s = Executor.stats exec in
+  Alcotest.(check (list int)) "steps, bodies, catch-up before the read"
+    [ 1000; 1; 0 ] [ s.steps; s.step_bodies; s.catchup_steps ];
+  let c = ref 0.0 in
+  for _ = 1 to 1000 do c := !c +. (1.0 *. 1e-3) done;
+  Alcotest.(check (float 0.0)) "replayed value" !c
+    (Executor.value_of exec "clk" "c");
+  Alcotest.(check int) "catch-up after the read" 999
+    (Executor.stats exec).catchup_steps
+
+let test_sleep_edge_cases_replay () =
+  let expected = replay_fixture sleep_fixture (sleep_edge_cases ()) in
   Alcotest.(check int) "fixture length" 122 (List.length expected)
 
 (* ---- timeline oracle: random schedule / cancel traffic through the
@@ -633,5 +869,19 @@ let suite =
           test_heap_legacy_traces_identical;
         Alcotest.test_case "trace sink streams" `Quick test_trace_sink_streams;
         QCheck_alcotest.to_alcotest prop_timeline_matches_sorted_list;
+        Alcotest.test_case "sleep edge cases replay their recorded trace"
+          `Quick test_sleep_edge_cases_replay;
+        Alcotest.test_case "create rejects a bad dt" `Quick
+          test_config_rejects_bad_dt;
+        Alcotest.test_case "create rejects a bad sample_period" `Quick
+          test_config_rejects_bad_sample_period;
+        Alcotest.test_case "create rejects max_chain < 1" `Quick
+          test_config_rejects_bad_max_chain;
+        Alcotest.test_case "idle automata sleep and catch up on read" `Quick
+          test_idle_automata_sleep;
+        Alcotest.test_case "reads during the step loop" `Quick
+          test_reads_during_the_step_loop;
+        Alcotest.test_case "a flow naming one slot twice" `Quick
+          test_slot_listed_twice;
       ] );
   ]

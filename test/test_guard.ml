@@ -107,6 +107,91 @@ let prop_conjunction_monotone =
       let valuation = v [ ("x", x) ] in
       (not (Guard.holds narrowed valuation)) || Guard.holds base valuation)
 
+(* ---- step prediction against a brute-force Euler replay ---- *)
+
+let replay_limit = 1_000_000
+
+(* The first of [limit] float additions of [delta] to [value] after
+   which the atom's truth differs from its truth at [value], if any. *)
+let first_flip cmp ~bound ~value ~delta ~limit =
+  let atom = Guard.atom "x" cmp bound in
+  let holds = Guard.atom_holds atom value in
+  let x = ref value and k = ref 0 and flip = ref None in
+  while Option.is_none !flip && !k < limit do
+    x := !x +. delta;
+    incr k;
+    if Guard.atom_holds atom !x <> holds then flip := Some !k
+  done;
+  !flip
+
+let gen_cmp = QCheck.Gen.oneofl Guard.[ Lt; Le; Gt; Ge; Eq ]
+
+(* x0 anywhere from tiny to large, a rate that may be negative, tiny or
+   zero, a step, and a bound placed up to [replay_limit] steps away in
+   either direction (or just past the eps slack), so most draws flip
+   within the replay. *)
+let gen_prediction_case =
+  QCheck.Gen.(
+    let* cmp = gen_cmp in
+    let* value =
+      frequency
+        [ (4, float_range (-100.0) 100.0); (1, float_range (-1e6) 1e6);
+          (1, float_range (-1e-6) 1e-6) ]
+    in
+    let* rate =
+      frequency
+        [ (5, float_range (-5.0) 5.0); (1, float_range (-1e-9) 1e-9);
+          (1, return 0.0); (1, oneofl [ 1.0; -1.0; 1.07; 0.5 ]) ]
+    in
+    let* span = oneof [ float_range 1e-4 0.1; oneofl [ 1e-3; 1e-2 ] ] in
+    let* steps = int_range 0 replay_limit in
+    let* jitter =
+      oneof [ float_range (-2e-9) 2e-9; return 0.0; float_range (-1.0) 1.0 ]
+    in
+    let bound = value +. (rate *. span *. Float.of_int steps) +. jitter in
+    return (cmp, value, rate, span, bound))
+
+let prop_steps_to_flip_never_late =
+  QCheck.Test.make ~name:"steps_to_flip is never later than a replay's flip"
+    ~count:150
+    (QCheck.make gen_prediction_case
+       ~print:(fun (cmp, value, rate, span, bound) ->
+         Fmt.str "x %a %h from %h, rate %h, span %h" Guard.pp_cmp cmp bound
+           value rate span))
+    (fun (cmp, value, rate, span, bound) ->
+      let delta = rate *. span in
+      let n = Guard.steps_to_flip cmp ~bound ~value ~delta in
+      if n < 1 then QCheck.Test.fail_reportf "prediction %d < 1" n;
+      (* the prediction claims additions 1 .. n - 1 keep the truth *)
+      match
+        first_flip cmp ~bound ~value ~delta ~limit:(Int.min (n - 1) replay_limit)
+      with
+      | None -> true
+      | Some k -> QCheck.Test.fail_reportf "predicted %d, flipped at %d" n k)
+
+let test_steps_to_flip_tight () =
+  (* a clock from 0.25 at 1 ms steps toward 5 and -3: the prediction is
+     at most a few steps early, and never late *)
+  List.iter
+    (fun (cmp, bound, delta) ->
+      let value = 0.25 in
+      let n = Guard.steps_to_flip cmp ~bound ~value ~delta in
+      match first_flip cmp ~bound ~value ~delta ~limit:replay_limit with
+      | None -> Alcotest.fail "no flip within the replay"
+      | Some k ->
+          if n > k || n < k - 3 then
+            Alcotest.failf "%a %g: predicted %d, flip at %d" Guard.pp_cmp cmp
+              bound n k)
+    Guard.
+      [ (Le, 5.0, 1e-3); (Gt, 5.0, 1e-3); (Eq, 5.0, 1e-3); (Ge, -3.0, -1e-3);
+        (Lt, -3.0, -1e-3) ];
+  Alcotest.(check int) "moving away never flips" max_int
+    (Guard.steps_to_flip Guard.Le ~bound:5.0 ~value:0.25 ~delta:(-1e-3));
+  Alcotest.(check int) "a rate-0 variable never flips" max_int
+    (Guard.steps_to_flip Guard.Eq ~bound:1.0 ~value:0.0 ~delta:0.0);
+  Alcotest.(check int) "non-finite deltas predict the next step" 1
+    (Guard.steps_to_flip Guard.Le ~bound:5.0 ~value:0.25 ~delta:nan)
+
 let suite =
   [
     ( "hybrid.guard",
@@ -121,5 +206,8 @@ let suite =
         Alcotest.test_case "invariant horizon" `Quick test_invariant_horizon;
         QCheck_alcotest.to_alcotest prop_time_to_satisfy_correct;
         QCheck_alcotest.to_alcotest prop_conjunction_monotone;
+        QCheck_alcotest.to_alcotest prop_steps_to_flip_never_late;
+        Alcotest.test_case "steps_to_flip is tight on clocks" `Quick
+          test_steps_to_flip_tight;
       ] );
   ]

@@ -109,8 +109,106 @@ let prop_monitor_agrees_with_reference =
       in
       Monitor.ok report = reference_ok outer inner)
 
+(* ---- one-pass intervals against the per-entity fold ---- *)
+
+let entities = [ "e0"; "e1"; "e2" ]
+let locations = [| "S"; "D"; "R1"; "R2" |]
+let risky_loc _ l = String.length l > 0 && l.[0] = 'R'
+let initial_loc = function "e1" -> "R1" | _ -> "S"
+
+(* One raw trace step: who moves ([3] is an automaton no spec names),
+   whether its [src] is its current location or an arbitrary one, the
+   destination, and the time since the previous entry — often zero, so
+   that risky -> safe -> risky at one instant (a zero-gap merge) is
+   common. *)
+type move = { who : int; follow : bool; src : int; dst : int; gap : float }
+
+let gen_move =
+  QCheck.Gen.(
+    let* who = int_range 0 3 in
+    let* follow = frequency [ (4, return true); (1, return false) ] in
+    let* src = int_range 0 3 in
+    let* dst = int_range 0 3 in
+    let* gap =
+      frequency
+        [ (3, return 0.0); (1, return 1e-7); (4, float_range 0.0 5.0) ]
+    in
+    return { who; follow; src; dst; gap })
+
+(* The trace of [moves], with a note between entries (skipped by both
+   scans), and the horizon [tail] after the last entry: zero leaves
+   every interval still open at it. *)
+let trace_of_moves moves ~tail =
+  let current = Hashtbl.create 4 in
+  List.iter (fun e -> Hashtbl.replace current e (initial_loc e)) entities;
+  let now = ref 0.0 in
+  let entries =
+    List.concat_map
+      (fun m ->
+        now := !now +. m.gap;
+        let automaton = if m.who = 3 then "ghost" else List.nth entities m.who in
+        let cur =
+          Option.value (Hashtbl.find_opt current automaton) ~default:"S"
+        in
+        let src = if m.follow then cur else locations.(m.src) in
+        let dst = locations.(m.dst) in
+        if String.equal src cur then Hashtbl.replace current automaton dst;
+        [ { Trace.time = !now; event = Trace.Note "tick" };
+          { Trace.time = !now;
+            event =
+              Trace.Transition
+                { automaton; src; dst; label = None; forced = false } } ])
+      moves
+  in
+  (entries, !now +. tail)
+
+let spec3 =
+  Rules.make ~order:entities
+    ~dwell_bounds:(List.map (fun e -> (e, bound)) entities)
+    ~safeguards:
+      (List.init 2 (fun _ ->
+           { Params.enter_risky_min = t_risky; exit_safe_min = t_safe }))
+
+let prop_one_pass_matches_fold =
+  QCheck.Test.make ~name:"one-pass intervals = per-entity fold" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_size (int_range 0 40) gen_move)
+           (frequency [ (1, return 0.0); (2, float_range 0.0 3.0) ]))
+       ~print:(fun (moves, tail) ->
+         Fmt.str "tail=%g moves=%s" tail
+           (String.concat "; "
+              (List.map
+                 (fun m ->
+                   Printf.sprintf "%d%s %s->%s +%g" m.who
+                     (if m.follow then "" else "!")
+                     locations.(m.src) locations.(m.dst) m.gap)
+                 moves))))
+    (fun (moves, tail) ->
+      let trace, horizon = trace_of_moves moves ~tail in
+      let report =
+        Monitor.analyze trace spec3 ~risky:risky_loc ~initial:initial_loc
+          ~horizon
+      in
+      let fold =
+        List.map
+          (fun entity ->
+            ( entity,
+              Monitor.risky_intervals trace ~entity ~risky:risky_loc
+                ~initial:initial_loc ~horizon ))
+          entities
+      in
+      if report.Monitor.intervals <> fold then
+        QCheck.Test.fail_reportf "one pass %a@ fold %a"
+          Fmt.(Dump.list (Dump.pair string (Dump.list (Dump.pair float float))))
+          report.Monitor.intervals
+          Fmt.(Dump.list (Dump.pair string (Dump.list (Dump.pair float float))))
+          fold;
+      true)
+
 let suite =
   [
     ( "core.monitor-reference",
-      [ QCheck_alcotest.to_alcotest prop_monitor_agrees_with_reference ] );
+      [ QCheck_alcotest.to_alcotest prop_monitor_agrees_with_reference;
+        QCheck_alcotest.to_alcotest prop_one_pass_matches_fold ] );
   ]
