@@ -1785,6 +1785,32 @@ let s1_smoke_words_ceiling = 100.0
 let s1_idle_bodies_ceiling = 1.0
 let s1_idle_n = 64
 
+(* Trial cell: one 300-s Table-I trial (with lease, E(Toff) 18 s, the
+   paper's 25% bursty loss). Returns (wall, minor words allocated per
+   step, step bodies per step) over [Engine.run]. The patient's ODE
+   sleeps between the oximeter's readings and the per-step lung
+   coupling's unchanged writes are free, so a trial step costs a few
+   words and almost no step body. *)
+let s1_trial ~seed =
+  let config =
+    { Pte_tracheotomy.Emulation.default with horizon = 300.0; seed }
+  in
+  let built = Pte_tracheotomy.Emulation.build config in
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  Pte_sim.Engine.run built.engine ~until:config.horizon;
+  let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
+  let stats = Pte_hybrid.Executor.stats (Pte_sim.Engine.executor built.engine) in
+  let steps = Float.of_int stats.steps in
+  (wall, words /. steps, Float.of_int stats.step_bodies /. steps)
+
+(* Ceilings on the trial cell (dev profile, smoke and full runs alike).
+   The always-step ODE with a map view took 83.2 words and 1.02 step
+   bodies per step; the flat sleeping one takes about 7 and 0.011. *)
+let s1_trial_words_ceiling = 20.0
+let s1_trial_bodies_ceiling = 0.1
+
 let s1_scale () =
   let module J = Pte_util.Json in
   let seed = 2024 in
@@ -1892,6 +1918,33 @@ let s1_scale () =
         per step are gated at <= %.0f"
        idle_horizon s1_idle_bodies_ceiling);
   Table.print emu;
+  (* --- one Table-I trial: the physical loop's per-step cost --- *)
+  let trial_seed = 2013 in
+  let trial_wall, trial_words, trial_bodies = s1_trial ~seed:trial_seed in
+  let trial =
+    Table.create
+      ~title:
+        "S1c: one 300-s Table-I trial (with lease, E(Toff) 18 s, 25% bursty \
+         loss, dt 10 ms)"
+      ~header:[ "seed"; "wall s"; "sim-s/wall-s"; "minor words/step"; "step bodies/step" ]
+      ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
+      ()
+  in
+  Table.add_row trial
+    [ Table.fmt_int trial_seed; Table.fmt_float ~decimals:3 trial_wall;
+      Table.fmt_float ~decimals:0 (300.0 /. trial_wall);
+      Table.fmt_float ~decimals:1 trial_words;
+      Table.fmt_float ~decimals:3 trial_bodies ];
+  Table.add_note trial
+    (Fmt.str "gated at <= %.0f minor words/step and <= %g step bodies/step"
+       s1_trial_words_ceiling s1_trial_bodies_ceiling);
+  Table.print trial;
+  if trial_words > s1_trial_words_ceiling then
+    Fmt.failwith "S1: the 300-s trial allocated %.1f minor words/step, ceiling %.0f"
+      trial_words s1_trial_words_ceiling;
+  if trial_bodies > s1_trial_bodies_ceiling then
+    Fmt.failwith "S1: the 300-s trial ran %.3f step bodies/step, ceiling %g"
+      trial_bodies s1_trial_bodies_ceiling;
   if (not !smoke) && n_max < 1024 then
     Fmt.failwith "S1: full run must reach N=1024 (got %d)" n_max;
   write_bench_json ~bench:"S1" ~seed
@@ -1924,7 +1977,14 @@ let s1_scale () =
               ("dt", J.Num dt); ("horizon", J.Num idle_horizon);
               ("wall_s", J.Num idle_wall);
               ("minor_words_per_step", J.Num idle_words);
-              ("step_bodies_per_step", J.Num idle_bodies) ] ])
+              ("step_bodies_per_step", J.Num idle_bodies) ];
+          J.Obj
+            [ ("name", J.Str "trial_300s"); ("seed", J.Num (Float.of_int trial_seed));
+              ("dt", J.Num 0.01); ("horizon", J.Num 300.0);
+              ("wall_s", J.Num trial_wall);
+              ("sim_per_wall", J.Num (300.0 /. trial_wall));
+              ("minor_words_per_step", J.Num trial_words);
+              ("step_bodies_per_step", J.Num trial_bodies) ] ])
 
 (* ------------------------------------------------------------------ *)
 

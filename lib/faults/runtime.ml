@@ -15,15 +15,17 @@ let install plan engine =
       | Plan.Clock_drift { entity; factor } ->
           Pte_sim.Engine.set_rate engine entity factor
       | Plan.Crash { entity; at; blackout } ->
+          let exec = Pte_sim.Engine.executor engine in
+          let h = Pte_hybrid.Executor.Handle.find exec entity in
           let stage = ref `Waiting in
           Pte_sim.Engine.add_process engine ~name:(entity ^ "-crash-fault")
-            (fun engine ~time ->
+            (fun _engine ~time ->
               match !stage with
               | `Waiting when time >= at ->
-                  Pte_sim.Engine.halt engine entity;
+                  Pte_hybrid.Executor.Handle.halt exec h;
                   stage := `Down
               | `Down when time >= at +. blackout ->
-                  Pte_sim.Engine.restart engine entity;
+                  Pte_hybrid.Executor.Handle.restart exec h;
                   stage := `Done
               | _ -> ()))
     plan.Plan.node_faults

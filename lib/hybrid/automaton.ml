@@ -68,7 +68,7 @@ let all_labels a = List.filter_map (fun (e : Edge.t) -> e.label) a.edges
 
 (** Structural well-formedness. Returns the list of violations (empty =
     well-formed): duplicate location names, dangling edge endpoints,
-    undeclared variables in guards/resets/flow rates/initial values,
+    undeclared variables in guards/resets/flow reads and writes/initial values,
     missing or invariant-violating initial state. *)
 let validate a =
   let errs = ref [] in
@@ -106,14 +106,17 @@ let validate a =
     (fun (l : Location.t) ->
       check_vars (Printf.sprintf "invariant of %S" l.name)
         (Guard.vars l.invariant);
-      match Flow.constant_rates l.flow with
-      | Some rates ->
+      let declared_in_flow v =
+        if not (Var.Set.mem v declared) then
+          err "flow of %S mentions undeclared variable %S" l.name v
+      in
+      match l.flow with
+      | Flow.Rates rates -> List.iter (fun (v, _) -> declared_in_flow v) rates
+      | Flow.Ode { reads; writes; _ } ->
+          List.iter declared_in_flow writes;
           List.iter
-            (fun (v, _) ->
-              if not (Var.Set.mem v declared) then
-                err "flow of %S mentions undeclared variable %S" l.name v)
-            rates
-      | None -> ())
+            (fun v -> if not (List.mem v writes) then declared_in_flow v)
+            reads)
     a.locations;
   List.iteri
     (fun i (e : Edge.t) ->

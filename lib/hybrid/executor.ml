@@ -44,33 +44,40 @@
     dispatch index (trigger-root -> edges, eager/spontaneous arrays) is
     compiled the first time the automaton enters it, from edges grouped
     by source in one pass at {!create}: its {!Flow.Rates} become
-    [(slot, rate)] arrays, its invariant and edge guards {!Guard.flat}
-    arrays, its resets slot assignments. The continuous step, guard
-    checks and the eager chase are closure-free loops over those
-    arrays, so an idle constant-rate automaton allocates nothing per
+    [(slot, rate)] arrays, a {!Flow.Ode}'s declared reads and writes
+    slot arrays (with its own [x]/[dx] scratch), its invariant and edge
+    guards {!Guard.flat} arrays, its resets slot assignments. The
+    continuous step, guard checks and the eager chase are closure-free
+    loops over those arrays, so an idle automaton allocates nothing per
     step. The float operations and their order are those of the
-    map-based engine — Euler [x +. rate *. span] in rate-list order,
-    {!Guard.eps} comparisons, the 30-round [a +. alpha *. (b -. a)]
-    bisection — so traces are byte-identical to it (pinned by two
-    recorded traces). Only {!Flow.Ode} locations (the patient model)
-    still see a {!Valuation.t}, built from the array each step.
+    map-based engine — Euler [x +. rate *. span] in rate-list order, an
+    ODE's [x +. dx *. span] in [writes] order from derivatives evaluated
+    on the pre-step valuation, {!Guard.eps} comparisons, the 30-round
+    [a +. alpha *. (b -. a)] bisection — so traces are byte-identical to
+    it (pinned by recorded traces).
 
     Automata sleep. A step runs the step body (Euler advance, invariant
     check, bisection) only for automata whose [wake] step has come, in
-    index order; the others' steps are plain Euler additions that cannot
-    change the trace, so they are deferred and replayed — the same
-    [x +. rate *. span] operations in step order — when the valuation is
-    next read (delivery, chase, {!value_of}, {!set_value}, sampling,
-    {!halt}, {!restart}, {!set_rate}). After each body the wake step is
-    predicted in closed form from the location's atoms
+    index order; the others' steps are plain Euler advances that cannot
+    change the trace, so they are deferred and replayed — the same float
+    operations in step order — when the valuation is next read
+    (delivery, chase, {!value_of}, {!set_value}, sampling, {!halt},
+    {!restart}, {!set_rate}). After each body the wake step is predicted
+    in closed form from the location's atoms
     ({!Guard.flat_steps_to_violate}, {!Guard.flat_steps_to_satisfy}),
     early by a proven float-error margin: an early wake only runs a body
     that changes nothing. A location with no invariant and no eager edge
-    never wakes; an ODE location wakes every step; any discrete change or
-    outside write wakes the automaton for the next step. The least wake
-    step is kept, so a step at which no automaton is due skips the scan,
-    and stabilization scans only while some automaton is marked active:
-    an idle step costs O(1), not O(N). *)
+    never wakes, an ODE location included: its replay evaluates the
+    field once per skipped step, at that step's own time, regenerated
+    from the time of the last synced step by the [now +. dt] recurrence
+    the step loop itself uses (the field is a pure function of time and
+    state, {!Flow.t}). An ODE location with an invariant or an eager
+    edge wakes every step. Any discrete change or outside write that
+    changes a value wakes the automaton for the next step; a write of
+    the value a slot already holds (bitwise) is skipped altogether. The
+    least wake step is kept, so a step at which no automaton is due
+    skips the scan, and stabilization scans only while some automaton
+    is marked active: an idle step costs O(1), not O(N). *)
 
 exception Time_block of { automaton : string; location : string; time : float }
 exception Zeno of { automaton : string; time : float }
@@ -105,10 +112,17 @@ let default_config =
 (* {2 Flat layout} *)
 
 (* A flow compiled against an automaton's slots: constant rates as
-   parallel arrays in rate-list order, or an ODE that reads a map view. *)
+   parallel arrays in rate-list order, or an ODE field with its reads and
+   writes as slots and its own [x]/[dx] scratch. *)
 type flow =
   | Const of { slots : int array; rates : float array }
-  | Ode of (float -> Valuation.t -> (Var.t * float) list)
+  | Ode of {
+      reads : int array;
+      writes : int array;
+      f : float -> float array -> float array -> unit;
+      x : float array;
+      dx : float array;
+    }
 
 (* An edge compiled against its automaton's slots. [reset_ops.(k)]
    assigns slot [reset_dst.(k)]; a [Copy] reads slot [reset_src.(k)]. *)
@@ -125,6 +139,7 @@ type cedge = {
    edge" picks the same edge the old linear [edges_from] scan did). *)
 type loc_info = {
   loc : Location.t;
+  id : int;  (* position in the automaton's location list *)
   flow : flow;
   invariant : Guard.flat;
   eager : cedge array;  (* spontaneous + Eager *)
@@ -144,9 +159,9 @@ type automaton_state = {
   before : float array;
       (* the valuation at the start of the current continuous step (the
          bisection's [from]) or before the current reset *)
-  sources : (string, Location.t * Edge.t list) Hashtbl.t;
-      (* location name -> (location, its out-edges reversed): the input
-         of the first-entry compile *)
+  sources : (string, int * Location.t * Edge.t list) Hashtbl.t;
+      (* location name -> (its position, the location, its out-edges
+         reversed): the input of the first-entry compile *)
   infos : (string, loc_info) Hashtbl.t;  (* compiled on first entry *)
   mutable info : loc_info;  (* current location's index *)
   mutable entered_at : float;
@@ -185,12 +200,22 @@ type t = {
       (* states index -> first step whose step body must run; the
          bodies of earlier steps are plain Euler additions *)
   mutable next_wake : int;  (* at most the least of [wake] *)
+  synced_at : float array;
+      (* states index -> the time of its step [synced], where the replay
+         of a sleeping ODE regenerates its step times from. Set by every
+         step body: a location entry or a restart wakes the automaton,
+         so its next step runs a body before any replay can start from
+         the new location *)
   mutable steps : int;  (* completed steps *)
   mutable cursor : int;
       (* the step loop's position: automata below it have taken the
          current step already *)
   mutable step_bodies : int;
   mutable catchup_steps : int;
+  mutable ode_steps : int;
+  mutable writes_skipped : int;
+  mutable tombstones_skipped : int;
+  mutable queue_high_water : int;
   recorder : Trace.Recorder.recorder;
   mutable router : router;
   mutable next_sample : float;
@@ -205,6 +230,9 @@ and payload =
       (* a scheduled arrival: deliver [root] to [receiver] at its due time *)
   | Timer of (t -> unit)
       (* a scheduled callback (e.g. a transport retransmission timer) *)
+
+(* The sentinel {!pop_due} returns when nothing is due. *)
+let nothing_due = { token = -1; owner = "<none>"; payload = Timer ignore }
 
 (* {2 Construction} *)
 
@@ -227,7 +255,7 @@ let compile_edge slot_of (e : Edge.t) =
       Array.map (function _, Reset.Copy src -> slot_of src | _ -> -1) reset;
   }
 
-let compile_loc slot_of (loc : Location.t) rev_edges =
+let compile_loc slot_of id (loc : Location.t) rev_edges =
   let edges = List.rev_map (compile_edge slot_of) rev_edges in
   let keep p = Array.of_list (List.filter p edges) in
   let eager =
@@ -260,10 +288,21 @@ let compile_loc slot_of (loc : Location.t) rev_edges =
             slots = Array.of_list (List.map (fun (v, _) -> slot_of v) rates);
             rates = Array.of_list (List.map snd rates);
           }
-    | Flow.Ode f -> Ode f
+    | Flow.Ode { reads; writes; f } ->
+        let slots vars = Array.of_list (List.map slot_of vars) in
+        let reads = slots reads and writes = slots writes in
+        Ode
+          {
+            reads;
+            writes;
+            f;
+            x = Array.make (Array.length reads) 0.0;
+            dx = Array.make (Array.length writes) 0.0;
+          }
   in
   {
     loc;
+    id;
     flow;
     invariant = Guard.flatten slot_of loc.Location.invariant;
     eager;
@@ -279,12 +318,12 @@ let find_info (a : Automaton.t) slots sources infos name =
   match Hashtbl.find_opt infos name with
   | Some info -> info
   | None ->
-      let loc, rev_edges =
+      let id, loc, rev_edges =
         match Hashtbl.find_opt sources name with
         | Some src -> src
         | None -> assert false (* validated: no dangling edge endpoints *)
       in
-      let info = compile_loc (slot_exn a slots) loc rev_edges in
+      let info = compile_loc (slot_exn a slots) id loc rev_edges in
       Hashtbl.replace infos name info;
       info
 
@@ -306,14 +345,14 @@ let build_state ix (a : Automaton.t) =
   (* group edges by source location in one pass (reversed declaration
      order) *)
   let sources = Hashtbl.create (List.length a.Automaton.locations * 2) in
-  List.iter
-    (fun (loc : Location.t) ->
-      Hashtbl.replace sources loc.Location.name (loc, []))
+  List.iteri
+    (fun id (loc : Location.t) ->
+      Hashtbl.replace sources loc.Location.name (id, loc, []))
     a.Automaton.locations;
   List.iter
     (fun (e : Edge.t) ->
       match Hashtbl.find_opt sources e.src with
-      | Some (loc, rev) -> Hashtbl.replace sources e.src (loc, e :: rev)
+      | Some (id, loc, rev) -> Hashtbl.replace sources e.src (id, loc, e :: rev)
       | None -> assert false (* validated: no dangling edge endpoints *))
     a.Automaton.edges;
   let infos = Hashtbl.create 8 in
@@ -392,19 +431,22 @@ let create ?(config = default_config) ?trace_sink system =
     states;
     index;
     listeners = listeners_arr;
-    pending =
-      Pte_util.Heap.create
-        ~dummy:{ token = -1; owner = "<none>"; payload = Timer ignore };
+    pending = Pte_util.Heap.create ~dummy:nothing_due;
     live = Hashtbl.create 64;
     next_token = 0;
     events = 0;
     n_active = n;
     wake = Array.make n 0;
     next_wake = 0;
+    synced_at = Array.make n 0.0;
     steps = 0;
     cursor = 0;
     step_bodies = 0;
     catchup_steps = 0;
+    ode_steps = 0;
+    writes_skipped = 0;
+    tombstones_skipped = 0;
+    queue_high_water = 0;
     recorder;
     router = reliable_router;
     next_sample = 0.0;
@@ -415,11 +457,22 @@ let time t = t.now
 let trace t = Trace.Recorder.entries t.recorder
 let events_processed t = t.events
 
-type stats = { steps : int; step_bodies : int; catchup_steps : int }
+type stats = {
+  steps : int;
+  step_bodies : int;
+  catchup_steps : int;
+  ode_steps : int;
+  writes_skipped : int;
+  tombstones_skipped : int;
+  queue_high_water : int;
+}
 
 let stats (t : t) =
   { steps = t.steps; step_bodies = t.step_bodies;
-    catchup_steps = t.catchup_steps }
+    catchup_steps = t.catchup_steps; ode_steps = t.ode_steps;
+    writes_skipped = t.writes_skipped;
+    tombstones_skipped = t.tombstones_skipped;
+    queue_high_water = t.queue_high_water }
 
 let state_ix t name =
   match Hashtbl.find_opt t.index name with
@@ -433,27 +486,40 @@ let location_of t name = (state t name).info.loc.Location.name
 (* {2 Sleeping automata}
 
    A step body (Euler advance, invariant check, bisection) runs only for
-   automata whose [wake] step has come. Until then a constant-rate
-   automaton's step is one addition per slot with no effect on the
-   trace, so it is deferred: every read of the valuation first replays
-   the skipped additions as the same float operations, in step order
-   for each slot. Reads after the step loop passed an automaton see the
-   current step taken. *)
+   automata whose [wake] step has come. Until then an automaton's step
+   is a plain Euler advance with no effect on the trace, so it is
+   deferred: every read of the valuation first replays the skipped
+   steps as the same float operations. Reads after the step loop passed
+   an automaton see the current step taken. *)
 
 (* The step count [st]'s valuation must reflect when read now. *)
 let read_step t st = if st.ix < t.cursor then t.steps + 1 else t.steps
 
-(* Replay the Euler additions of the steps [st.synced .. target - 1].
-   Slot by slot: an automaton that is behind sleeps in its location,
-   and a flow adding to one slot twice a step never sleeps
-   ({!steps_to_wake}), so each slot's additions are independent. *)
-let catch_up t st target =
+(* One Euler step of an ODE field at [time]: [x] gathered from [values]
+   before any addition, then [x +. dx *. span] in [writes] order. *)
+let[@inline] ode_step values ~reads ~writes ~f ~x ~dx time span =
+  for i = 0 to Array.length reads - 1 do
+    x.(i) <- values.(reads.(i))
+  done;
+  f time x dx;
+  for k = 0 to Array.length writes - 1 do
+    let j = writes.(k) in
+    values.(j) <- values.(j) +. (dx.(k) *. span)
+  done
+
+(* Replay the Euler steps [st.synced .. target - 1]. A constant-rate
+   flow replays slot by slot: an automaton that is behind sleeps in its
+   location, and a flow adding to one slot twice a step never sleeps
+   ({!steps_to_wake}), so each slot's additions are independent. An ODE
+   replays step by step, each evaluated at its own step's time, which
+   the engine's [now +. dt] recurrence regenerates from [synced_at]. *)
+let catch_up (t : t) st target =
   let k = target - st.synced in
   if k > 0 then begin
     if not st.halted then begin
+      let span = t.config.dt *. st.rate in
       (match st.info.flow with
       | Const { slots; rates } ->
-          let span = t.config.dt *. st.rate in
           if not (span <= 0.0) then begin
             let values = st.values in
             for m = 0 to Array.length slots - 1 do
@@ -466,7 +532,15 @@ let catch_up t st target =
               values.(j) <- !x
             done
           end
-      | Ode _ -> assert false (* an ODE location wakes every step *));
+      | Ode { reads; writes; f; x; dx } ->
+          let dt = t.config.dt in
+          let time = ref t.synced_at.(st.ix) in
+          for _ = 1 to k do
+            ode_step st.values ~reads ~writes ~f ~x ~dx !time span;
+            time := !time +. dt
+          done;
+          t.synced_at.(st.ix) <- !time;
+          t.ode_steps <- t.ode_steps + k);
       t.catchup_steps <- t.catchup_steps + k
     end;
     st.synced <- target
@@ -477,12 +551,16 @@ let sync t st = catch_up t st (read_step t st)
 (* Steps until [st]'s next step body must run: the first Euler addition
    that can break the invariant or enable an eager edge (see
    {!Guard.flat_steps_to_violate}); [max_int] when none can. An ODE
-   location, or a flow adding to one slot twice a step, wakes every
+   location with no invariant and no eager edge never wakes; one with
+   either, or a flow adding to one slot twice a step, wakes every
    step. *)
 let steps_to_wake t st =
   let info = st.info in
   match info.flow with
-  | Ode _ -> 1
+  | Ode _ ->
+      if Array.length info.invariant.Guard.slots = 0 && not info.has_eager
+      then max_int
+      else 1
   | Const { slots; rates } ->
       let deltas = st.deltas and values = st.values in
       let span = t.config.dt *. st.rate in
@@ -516,14 +594,132 @@ let activate t st =
     t.n_active <- t.n_active + 1
   end
 
+(* Whether the current location's flow advances slot [j]. *)
+let advances flow j =
+  let listed slots =
+    let found = ref false in
+    for m = 0 to Array.length slots - 1 do
+      if slots.(m) = j then found := true
+    done;
+    !found
+  in
+  match flow with
+  | Const { slots; _ } -> listed slots
+  | Ode { writes; _ } -> listed writes
+
+(* Bitwise equality short of NaN payloads: [0.0] and [-0.0] differ, and a
+   NaN never equals anything (a conservative "changed"). *)
+let same_bits a b = a = b && Float.sign_bit a = Float.sign_bit b
+
 (* A variable the automaton does not declare reads as 0, the
    {!Valuation} convention. *)
+let read_slot t st j =
+  sync t st;
+  st.values.(j)
+
 let read t st var =
   match Hashtbl.find_opt st.slots var with
-  | Some j ->
-      sync t st;
-      st.values.(j)
+  | Some j -> read_slot t st j
   | None -> 0.0
+
+(* Overwrite slot [j]. A write that leaves the value bitwise as it is
+   does nothing: an unchanged value cannot enable an edge, break an
+   invariant or move a wake prediction. A slot the current flow does not
+   advance holds its current value without a replay, so it is compared
+   unsynced. *)
+let write_slot (t : t) st j value =
+  if (not (advances st.info.flow j)) && same_bits st.values.(j) value then
+    t.writes_skipped <- t.writes_skipped + 1
+  else begin
+    sync t st;
+    if same_bits st.values.(j) value then
+      t.writes_skipped <- t.writes_skipped + 1
+    else begin
+      st.values.(j) <- value;
+      activate t st;
+      wake_now t st
+    end
+  end
+
+let record t event = Trace.Recorder.record t.recorder ~time:t.now event
+let note t text = record t (Trace.Note text)
+
+(* {2 Handles}
+
+   Environment processes resolve an automaton (and the variables they
+   touch) once, at registration, and then read and write by index: a
+   step in which no location changed hashes and compares no string. *)
+
+module Handle = struct
+  type nonrec t = int
+
+  let find = state_ix
+  let location t h = t.states.(h).info.loc.Location.name
+  let location_id t h = t.states.(h).info.id
+
+  let location_index t h location =
+    let st = t.states.(h) in
+    match Hashtbl.find_opt st.sources location with
+    | Some (id, _, _) -> id
+    | None ->
+        Fmt.invalid_arg "executor: automaton %s has no location %s"
+          st.automaton.Automaton.name location
+
+  let halt t h =
+    let st = t.states.(h) in
+    if not st.halted then begin
+      sync t st;
+      st.halted <- true;
+      note t (Printf.sprintf "fault: %s crashed" st.automaton.Automaton.name)
+    end
+
+  let restart t h =
+    let st = t.states.(h) in
+    st.halted <- false;
+    st.info <- info_of st st.automaton.Automaton.initial_location;
+    Array.blit st.initial 0 st.values 0 (Array.length st.values);
+    st.synced <- read_step t st;
+    st.entered_at <- t.now;
+    activate t st;
+    wake_now t st;
+    let name = st.automaton.Automaton.name in
+    note t (Printf.sprintf "fault: %s restarted" name);
+    record t
+      (Trace.Enter_location
+         { automaton = name; location = st.info.loc.Location.name })
+
+  let set_rate t h rate =
+    if rate <= 0.0 || not (Float.is_finite rate) then
+      Fmt.invalid_arg "executor: clock rate must be positive, got %g" rate;
+    let st = t.states.(h) in
+    sync t st;
+    st.rate <- rate;
+    wake_now t st
+end
+
+module Slot = struct
+  type t = { owner : int; slot : int (* -1: undeclared, reads 0 *); var : Var.t }
+
+  let reader exec h var =
+    let slot =
+      match Hashtbl.find_opt exec.states.(h).slots var with
+      | Some j -> j
+      | None -> -1
+    in
+    { owner = h; slot; var }
+
+  let writer exec h var =
+    let st = exec.states.(h) in
+    { owner = h; slot = slot_exn st.automaton st.slots var; var }
+
+  let get exec r =
+    if r.slot < 0 then 0.0 else read_slot exec exec.states.(r.owner) r.slot
+
+  let set exec r value =
+    let st = exec.states.(r.owner) in
+    if r.slot < 0 then ignore (slot_exn st.automaton st.slots r.var);
+    write_slot exec st r.slot value
+end
 
 let value_of t name var = read t (state t name) var
 let dwell_time t name = t.now -. (state t name).entered_at
@@ -536,61 +732,29 @@ let dwell_time t name = t.now -. (state t name).entered_at
     coupling API rather than directly. Raises [Invalid_argument] when
     the automaton does not declare [var]. *)
 let set_value t name var value =
-  let st = state t name in
-  let j = slot_exn st.automaton st.slots var in
-  sync t st;
-  st.values.(j) <- value;
-  activate t st;
-  wake_now t st
-
-let record t event = Trace.Recorder.record t.recorder ~time:t.now event
-let note t text = record t (Trace.Note text)
+  Slot.set t (Slot.writer t (state_ix t name) var) value
 
 (** Crash an automaton: its flows freeze, its edges stop firing and
     incoming events are dropped until {!restart}. This realizes the
     fail-stop node faults of the robustness campaigns — a behaviour the
     paper's fault model (message loss only) does not cover, which is
     exactly why injecting it is informative. *)
-let halt t name =
-  let st = state t name in
-  if not st.halted then begin
-    sync t st;
-    st.halted <- true;
-    note t (Printf.sprintf "fault: %s crashed" name)
-  end
+let halt t name = Handle.halt t (state_ix t name)
 
 (** Restart a crashed (or running) automaton from its initial location
     and valuation, as a rebooted node would. *)
-let restart t name =
-  let st = state t name in
-  st.halted <- false;
-  st.info <- info_of st st.automaton.Automaton.initial_location;
-  Array.blit st.initial 0 st.values 0 (Array.length st.values);
-  st.synced <- read_step t st;
-  st.entered_at <- t.now;
-  activate t st;
-  wake_now t st;
-  note t (Printf.sprintf "fault: %s restarted" name);
-  record t
-    (Trace.Enter_location
-       { automaton = name; location = st.info.loc.Location.name })
+let restart t name = Handle.restart t (state_ix t name)
 
 let is_halted t name = (state t name).halted
 
 (** Set an automaton's local clock-drift factor: each global step of
     [dt] advances its continuous state by [rate * dt]. [rate < 1] runs
     its clocks slow (leases expire late), [rate > 1] fast. *)
-let set_rate t name rate =
-  if rate <= 0.0 || not (Float.is_finite rate) then
-    Fmt.invalid_arg "executor: clock rate must be positive, got %g" rate;
-  let st = state t name in
-  sync t st;
-  st.rate <- rate;
-  wake_now t st
+let set_rate t name rate = Handle.set_rate t (state_ix t name) rate
 
 let rate t name = (state t name).rate
 
-let push t ~due ~owner payload =
+let push (t : t) ~due ~owner payload =
   if not (Float.is_finite due) then
     Fmt.invalid_arg "executor: event due time must be finite, got %g" due;
   (* the heap's FIFO counter advances once per push, in step with
@@ -599,6 +763,8 @@ let push t ~due ~owner payload =
   t.next_token <- token + 1;
   Hashtbl.replace t.live token ();
   Pte_util.Heap.push t.pending due { token; owner; payload };
+  let size = Pte_util.Heap.length t.pending in
+  if size > t.queue_high_water then t.queue_high_water <- size;
   token
 
 let enqueue t ~due ~receiver ~root =
@@ -625,18 +791,25 @@ let schedule t ?(owner = "<timer>") ~at f =
     already-fired tokens are ignored (cancellation is idempotent). *)
 let cancel t token = Hashtbl.remove t.live token
 
-(* Pop the next live entry due at or before [deadline], if any,
-   discarding the cancelled entries (tombstones) that surface first. *)
-let rec pop_due t ~deadline =
-  match Pte_util.Heap.peek t.pending with
-  | Some (_, p) when not (Hashtbl.mem t.live p.token) ->
-      ignore (Pte_util.Heap.pop t.pending);
-      pop_due t ~deadline
-  | Some (due, p) when due <= deadline ->
-      ignore (Pte_util.Heap.pop t.pending);
+(* Pop the next live entry due by the current instant, or [nothing_due],
+   discarding the cancelled entries (tombstones) that surface first.
+   Allocates nothing. *)
+let rec pop_due (t : t) =
+  let pending = t.pending in
+  if Pte_util.Heap.is_empty pending then nothing_due
+  else
+    let p = Pte_util.Heap.min_value pending in
+    if not (Hashtbl.mem t.live p.token) then begin
+      Pte_util.Heap.drop_min pending;
+      t.tombstones_skipped <- t.tombstones_skipped + 1;
+      pop_due t
+    end
+    else if Pte_util.Heap.min_priority pending <= t.now +. 1e-12 then begin
+      Pte_util.Heap.drop_min pending;
       Hashtbl.remove t.live p.token;
-      Some p
-  | Some _ | None -> None
+      p
+    end
+    else nothing_due
 
 let broadcast t ~sender ~root =
   let sender_name = t.states.(sender).automaton.Automaton.name in
@@ -776,11 +949,13 @@ let stabilize t =
   while !progress do
     progress := false;
     (* due deliveries and timers, in order *)
-    let deadline = t.now +. 1e-12 in
     let draining = ref true in
     while !draining do
-      match pop_due t ~deadline with
-      | Some { payload = Message { receiver; root }; _ } ->
+      let p = pop_due t in
+      if p == nothing_due then draining := false
+      else
+      match p with
+      | { payload = Message { receiver; root }; _ } ->
           incr fires;
           if !fires > budget then
             raise
@@ -790,14 +965,13 @@ let stabilize t =
                    time = t.now;
                  });
           if deliver t ~receiver ~root then progress := true
-      | Some { payload = Timer f; owner; _ } ->
+      | { payload = Timer f; owner; _ } ->
           incr fires;
           if !fires > budget then
             raise (Zeno { automaton = owner; time = t.now });
           t.events <- t.events + 1;
           f t;
           progress := true
-      | None -> draining := false
     done;
     (* the active automata, in index order; a halted one drops its mark
        ({!restart} sets it again) *)
@@ -844,25 +1018,16 @@ let stabilize t =
    current location's flow, in place; [before] keeps the pre-step
    valuation. *)
 let euler st ~start ~span =
-  let values = st.values and before = st.before in
-  Array.blit values 0 before 0 (Array.length values);
+  let values = st.values in
+  Array.blit values 0 st.before 0 (Array.length values);
   match st.info.flow with
   | Const { slots; rates } ->
       for k = 0 to Array.length slots - 1 do
         let j = slots.(k) in
         values.(j) <- values.(j) +. (rates.(k) *. span)
       done
-  | Ode f ->
-      let view =
-        Hashtbl.fold
-          (fun var j view -> Valuation.set view var before.(j))
-          st.slots Valuation.empty
-      in
-      List.iter
-        (fun (var, rate) ->
-          let j = slot_exn st.automaton st.slots var in
-          values.(j) <- values.(j) +. (rate *. span))
-        (f start view)
+  | Ode { reads; writes; f; x; dx } ->
+      ode_step values ~reads ~writes ~f ~x ~dx start span
 
 (* Advance one automaton's continuous state by [span] seconds starting at
    absolute time [start]; handles invariant boundaries by bisection and
@@ -926,7 +1091,7 @@ let sample t =
     t.config.sample_vars
 
 (** Advance the whole system by one step of [config.dt]. *)
-let step t =
+let step (t : t) =
   t.cursor <- 0 (* a raise inside the loop below leaves it set *);
   stabilize t;
   let start = t.now in
@@ -959,8 +1124,12 @@ let step t =
               done;
               if bounded && not (Guard.flat_holds info.invariant values) then
                 cross_boundary t st ~start ~span ~depth:0
-          | Const _ | Ode _ -> advance_automaton t st ~start ~span ~depth:0);
+          | Const _ -> advance_automaton t st ~start ~span ~depth:0
+          | Ode _ ->
+              t.ode_steps <- t.ode_steps + 1;
+              advance_automaton t st ~start ~span ~depth:0);
           st.synced <- s + 1;
+          t.synced_at.(i) <- start +. dt;
           (* time passed: only a location with eager spontaneous edges can
              have gained an enabled transition from it *)
           if st.info.has_eager then activate t st;

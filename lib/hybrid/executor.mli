@@ -14,17 +14,33 @@
     automaton states. Each valuation is a [float array] with slots
     numbered at {!create}. Each location's dispatch index, rates,
     invariant, guards and resets are compiled against those slots on
-    the location's first entry. An activity-set stabilization re-chases
-    only automata that changed since the last fixpoint. Automata sleep:
-    a step runs the step body (Euler advance, invariant check,
-    bisection) only for automata whose invariant or eager guards can
-    change at that step, predicted in closed form with a proven
-    float-error margin; the skipped Euler additions are replayed, as the
-    same float operations in the same order, when the valuation is next
-    read. An idle constant-rate automaton costs nothing per step and
-    allocates nothing. Traces equal those of the original sorted-list,
-    full-scan, map-valuation, always-step engine, pinned by three
-    recorded traces in the test suite. *)
+    the location's first entry, an ODE's declared reads and writes
+    included. An activity-set stabilization re-chases only automata that
+    changed since the last fixpoint.
+
+    Automata sleep: a step runs the step body (Euler advance, invariant
+    check, bisection) only for automata whose invariant or eager guards
+    can change at that step, predicted in closed form with a proven
+    float-error margin; the skipped Euler steps are replayed, as the same
+    float operations in the same order, when the valuation is next read
+    (delivery, chase, {!value_of}, {!set_value}, sampling, {!halt},
+    {!restart}, {!set_rate}). An {!Flow.Ode} location with no invariant
+    and no eager edge sleeps too: each replayed step evaluates the field
+    at that step's own time, regenerated by the [now +. dt] recurrence,
+    which is why the field must be a pure function of time and state
+    ({!Flow.t}). An ODE location with an invariant or an eager edge
+    wakes every step. An idle automaton, constant-rate or ODE, costs
+    nothing per step and allocates nothing.
+
+    Writes that change nothing are free: {!set_value} (and {!Slot.set})
+    of a value bitwise equal to the current one neither replays, nor
+    re-chases, nor wakes the automaton, since an unchanged value can
+    neither enable an edge nor move a wake prediction. A per-step
+    coupling that rewrites the same value keeps its target asleep.
+
+    Traces equal those of the original sorted-list, full-scan,
+    map-valuation, always-step engine, pinned by four recorded traces in
+    the test suite. *)
 
 exception
   Time_block of { automaton : string; location : string; time : float }
@@ -88,6 +104,16 @@ type stats = {
   catchup_steps : int;
       (** automaton-steps whose Euler additions a read replayed after
           the automaton slept through them *)
+  ode_steps : int;
+      (** evaluations of an ODE field: step bodies in an ODE location
+          plus replayed ODE steps *)
+  writes_skipped : int;
+      (** {!set_value}s that left the value bitwise as it was, and so
+          did nothing *)
+  tombstones_skipped : int;
+      (** cancelled queue entries discarded as they surfaced *)
+  queue_high_water : int;
+      (** the most entries (tombstones included) the event queue held *)
 }
 
 val stats : t -> stats
@@ -132,6 +158,53 @@ val lose_now : t -> receiver:string -> root:string -> unit
 (** Record the loss of a send owned by a [Deferred] router, at the
     instant the transport gave up on it. *)
 
+(** {2 Handles}
+
+    Environment processes resolve their automaton and variables once, at
+    registration, and then read and write by index: a step in which no
+    location changed hashes and compares no string. The name-based calls
+    below are wrappers over these. *)
+
+module Handle : sig
+  type executor := t
+  type t
+  (** One automaton of the system. *)
+
+  val find : executor -> string -> t
+  (** Raises [Invalid_argument] naming an unknown automaton. *)
+
+  val location : executor -> t -> string
+  (** The current location's name. *)
+
+  val location_id : executor -> t -> int
+  (** The current location's position in the automaton's location list. *)
+
+  val location_index : executor -> t -> string -> int
+  (** The position of the named location. Raises [Invalid_argument]
+      naming an unknown location. *)
+
+  val halt : executor -> t -> unit
+  val restart : executor -> t -> unit
+  val set_rate : executor -> t -> float -> unit
+end
+
+module Slot : sig
+  type executor := t
+  type t
+  (** One variable of one automaton. *)
+
+  val reader : executor -> Handle.t -> Var.t -> t
+  (** A variable the automaton does not declare reads as 0. *)
+
+  val writer : executor -> Handle.t -> Var.t -> t
+  (** Raises [Invalid_argument] naming the automaton and the variable
+      when the automaton does not declare it. *)
+
+  val get : executor -> t -> float
+  val set : executor -> t -> float -> unit
+  (** As {!set_value}; raises on an undeclared {!reader} slot. *)
+end
+
 val location_of : t -> string -> string
 
 val value_of : t -> string -> Var.t -> float
@@ -144,9 +217,11 @@ val dwell_time : t -> string -> float
 val set_value : t -> string -> Var.t -> float -> unit
 (** Overwrite one variable, bypassing flows/resets — the hook for wired
     physical couplings (e.g. the oximeter writing the supervisor's
-    ApprovalCondition). Use via [pte_sim]'s coupling API. Raises
-    [Invalid_argument] naming the automaton and the variable when the
-    automaton does not declare it. *)
+    ApprovalCondition). Use via [pte_sim]'s coupling API. A value
+    bitwise equal to the current one ([0.0] and [-0.0] differ; NaN
+    always counts as a change) does nothing. Raises [Invalid_argument]
+    naming the automaton and the variable when the automaton does not
+    declare it. *)
 
 val note : t -> string -> unit
 (** Append a free-form annotation to the trace. *)

@@ -27,14 +27,16 @@ let pp_issue ppf = function
 
 (* Invariant atoms whose boundary the flow can actually reach: an upper
    bound expires under a positive rate, a lower bound under a negative
-   one; frozen variables never expire a satisfied atom. ODE flows are
-   treated conservatively (every atom may expire). *)
+   one; frozen variables never expire a satisfied atom. An ODE is
+   treated conservatively on the variables it drives (every atom on them
+   may expire); the others are frozen. *)
 let expirable_bounds (l : Location.t) =
   let rate var =
     match l.Location.flow with
     | Flow.Rates rates -> (
         match List.assoc_opt var rates with Some r -> Some r | None -> Some 0.0)
-    | Flow.Ode _ -> None
+    | Flow.Ode { writes; _ } ->
+        if List.exists (Var.equal var) writes then None else Some 0.0
   in
   List.filter
     (fun (a : Guard.atom) ->

@@ -17,18 +17,10 @@ let reset_reads (reset : Reset.t) =
 let check (a : Automaton.t) =
   let name = a.Automaton.name in
   let declared = List.fold_left (fun s v -> Var.Set.add v s) Var.Set.empty a.Automaton.vars in
-  let has_ode =
-    List.exists
-      (fun (l : Location.t) -> Flow.constant_rates l.Location.flow = None)
-      a.Automaton.locations
-  in
   let flow_vars =
     union_map
       (fun (l : Location.t) ->
-        match Flow.constant_rates l.Location.flow with
-        | Some rates ->
-            List.fold_left (fun s (v, _) -> Var.Set.add v s) Var.Set.empty rates
-        | None -> Var.Set.empty)
+        Var.Set.of_list (Flow.reads l.Location.flow @ Flow.writes l.Location.flow))
       a.Automaton.locations
   in
   let guard_reads =
@@ -39,7 +31,11 @@ let check (a : Automaton.t) =
   in
   let reads =
     Var.Set.union guard_reads
-      (union_map (fun (e : Edge.t) -> reset_reads e.Edge.reset) a.Automaton.edges)
+      (Var.Set.union
+         (union_map (fun (e : Edge.t) -> reset_reads e.Edge.reset) a.Automaton.edges)
+         (union_map
+            (fun (l : Location.t) -> Var.Set.of_list (Flow.reads l.Location.flow))
+            a.Automaton.locations))
   in
   let reset_writes = union_map (fun (e : Edge.t) -> Reset.vars e.Edge.reset) a.Automaton.edges in
   let writes =
@@ -50,13 +46,13 @@ let check (a : Automaton.t) =
             Var.Set.empty a.Automaton.initial_values)
          (union_map
             (fun (l : Location.t) ->
-              match Flow.constant_rates l.Location.flow with
-              | Some rates ->
+              match l.Location.flow with
+              | Flow.Rates rates ->
                   List.fold_left
                     (fun s (v, r) ->
                       if Float.abs r > Guard.eps then Var.Set.add v s else s)
                     Var.Set.empty rates
-              | None -> Var.Set.empty)
+              | Flow.Ode { writes; _ } -> Var.Set.of_list writes)
             a.Automaton.locations))
   in
   let used = Var.Set.union flow_vars (Var.Set.union reads writes) in
@@ -66,29 +62,27 @@ let check (a : Automaton.t) =
            Diagnostic.v ~automaton:name "L030"
              (Fmt.str "variable %S is used but not declared" v))
   in
-  if has_ode then undeclared
-  else
-    let never_written =
-      Var.Set.diff (Var.Set.inter reads declared) writes
-      |> Var.Set.elements
-      |> List.map (fun v ->
-             Diagnostic.v ~automaton:name "L031"
-               (Fmt.str
-                  "variable %S is read but never initialized, reset, or \
-                   driven: it is constant 0"
-                  v))
-    in
-    let never_read =
-      Var.Set.diff (Var.Set.inter reset_writes declared) reads
-      |> Var.Set.elements
-      |> List.map (fun v ->
-             Diagnostic.v ~automaton:name "L032"
-               (Fmt.str "variable %S is reset but its value is never read" v))
-    in
-    let unused =
-      Var.Set.diff declared used |> Var.Set.elements
-      |> List.map (fun v ->
-             Diagnostic.v ~automaton:name "L033"
-               (Fmt.str "declared variable %S is never used" v))
-    in
-    undeclared @ never_written @ never_read @ unused
+  let never_written =
+    Var.Set.diff (Var.Set.inter reads declared) writes
+    |> Var.Set.elements
+    |> List.map (fun v ->
+           Diagnostic.v ~automaton:name "L031"
+             (Fmt.str
+                "variable %S is read but never initialized, reset, or \
+                 driven: it is constant 0"
+                v))
+  in
+  let never_read =
+    Var.Set.diff (Var.Set.inter reset_writes declared) reads
+    |> Var.Set.elements
+    |> List.map (fun v ->
+           Diagnostic.v ~automaton:name "L032"
+             (Fmt.str "variable %S is reset but its value is never read" v))
+  in
+  let unused =
+    Var.Set.diff declared used |> Var.Set.elements
+    |> List.map (fun v ->
+           Diagnostic.v ~automaton:name "L033"
+             (Fmt.str "declared variable %S is never used" v))
+  in
+  undeclared @ never_written @ never_read @ unused

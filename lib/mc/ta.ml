@@ -71,9 +71,11 @@ let classify_vars (a : Automaton.t) =
     match l.Location.flow with
     | Flow.Rates rates -> (
         match List.assoc_opt v rates with Some r -> r | None -> 0.0)
-    | Flow.Ode _ ->
-        unsupported "automaton %s location %s has an ODE flow" a.Automaton.name
-          l.Location.name
+    | Flow.Ode { writes; _ } ->
+        if List.exists (Var.equal v) writes then
+          unsupported "automaton %s location %s drives %s by an ODE"
+            a.Automaton.name l.Location.name v
+        else 0.0
   in
   List.partition_map
     (fun v ->

@@ -43,7 +43,7 @@ exception Unsupported of string
 val translate :
   Automaton.t -> alloc:(string -> int) -> is_system_root:(string -> bool) -> t
 (** [alloc] assigns global clock indices. Raises {!Unsupported} outside
-    the timed fragment (ODE flows, mixed rates, compound urgent guards,
+    the timed fragment (variables an ODE drives, mixed rates, compound urgent guards,
     non-zero resets). *)
 
 module Int_set : Set.S with type elt = int

@@ -279,6 +279,10 @@ let counter t sender =
       r
 
 let consecutive_losses t ~sender = !(counter t sender)
+
+let loss_count t ~sender =
+  let r = counter t sender in
+  fun () -> !r
 let reset_consecutive_losses t ~sender = counter t sender := 0
 
 (* ------------------------------------------------------------------ *)

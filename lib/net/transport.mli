@@ -284,6 +284,11 @@ val consecutive_losses : t -> sender:string -> int
     when the blind span ends. Reset to 0 by the next confirmed send.
     Feeds the supervisor's degraded-safe-mode. *)
 
+val loss_count : t -> sender:string -> unit -> int
+(** [loss_count t ~sender] resolves [sender]'s {!consecutive_losses}
+    counter once; the returned reader is a plain load, for a process
+    that polls it every instant. *)
+
 val reset_consecutive_losses : t -> sender:string -> unit
 
 val pp_config : config Fmt.t

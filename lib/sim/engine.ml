@@ -9,19 +9,16 @@
 
 open Pte_hybrid
 
-type process = {
-  name : string;
-  period : float;
-  mutable next_due : float;
-  action : t -> time:float -> unit;
-}
-
-and t = {
+(* Processes live in parallel arrays, in registration order; [next_due]
+   and [periods] are flat float arrays, so polling allocates nothing. *)
+type t = {
   exec : Executor.t;
   net : Pte_net.Star.t option;
   transport : Pte_net.Transport.t option;
   rng : Pte_util.Rng.t;
-  mutable processes : process list;
+  mutable actions : (t -> time:float -> unit) array;
+  mutable periods : float array;  (* at least 1e-9 *)
+  mutable next_due : float array;
 }
 
 let create ?(config = Executor.default_config) ?net
@@ -49,7 +46,7 @@ let create ?(config = Executor.default_config) ?net
         Executor.set_router exec (Pte_net.Transport.router t);
         Some t
   in
-  { exec; net; transport; rng; processes = [] }
+  { exec; net; transport; rng; actions = [||]; periods = [||]; next_due = [||] }
 
 let executor t = t.exec
 let network t = t.net
@@ -61,10 +58,12 @@ let rng t = t.rng
 let fork_rng t = Pte_util.Rng.split t.rng
 
 (** Register a periodic process. [period] defaults to the executor step,
-    i.e. the process observes every simulation instant. *)
-let add_process t ?(period = 0.0) ~name action =
-  t.processes <-
-    t.processes @ [ { name; period; next_due = 0.0; action } ]
+    i.e. the process observes every simulation instant. [name] labels it
+    for the reader of the registering code. *)
+let add_process t ?(period = 0.0) ~name:_ action =
+  t.actions <- Array.append t.actions [| action |];
+  t.periods <- Array.append t.periods [| Float.max period 1e-9 |];
+  t.next_due <- Array.append t.next_due [| 0.0 |]
 
 let inject t ~receiver ~root =
   ignore (Executor.inject t.exec ~receiver ~root)
@@ -80,15 +79,16 @@ let restart t name = Executor.restart t.exec name
 let is_halted t name = Executor.is_halted t.exec name
 let set_rate t name rate = Executor.set_rate t.exec name rate
 
+(* The processes registered before this call, in order; one an action
+   registers first runs at the next instant. *)
 let run_processes t =
   let now = time t in
-  List.iter
-    (fun p ->
-      if now >= p.next_due -. 1e-12 then begin
-        p.action t ~time:now;
-        p.next_due <- now +. Float.max p.period 1e-9
-      end)
-    t.processes
+  for i = 0 to Array.length t.actions - 1 do
+    if now >= t.next_due.(i) -. 1e-12 then begin
+      t.actions.(i) t ~time:now;
+      t.next_due.(i) <- now +. t.periods.(i)
+    end
+  done
 
 (** Run to [until], interleaving processes with executor steps. *)
 let run t ~until =

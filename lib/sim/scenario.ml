@@ -4,7 +4,15 @@
     events (Section V): the surgeon's request timer Ton, the surgeon's
     cancel timer Toff (both exponential), and the supervisor's abort when
     the ApprovalCondition fails. These combinators reproduce that setup
-    and generalize it for the other examples. *)
+    and generalize it for the other examples.
+
+    Each combinator resolves the automata, locations and written
+    variables it names once, when it is registered — an unknown one
+    raises [Invalid_argument] there, not inside a later step — and then
+    polls by index: an instant at which no location changed compares no
+    string. *)
+
+open Pte_hybrid
 
 (** Arm an exponential timer whenever [automaton] dwells in [armed_in];
     when it fires and the automaton is still there, inject [root]
@@ -18,11 +26,13 @@
 let exponential_stimulus engine ~mean ?(immediately = false) ~automaton
     ~armed_in ~root () =
   let rng = Engine.fork_rng engine in
+  let exec = Engine.executor engine in
+  let h = Executor.Handle.find exec automaton in
+  let armed = Executor.Handle.location_index exec h armed_in in
   let deadline = ref None in
   let first = ref immediately in
   Engine.add_process engine ~name:(root ^ "-timer") (fun engine ~time ->
-      let here = Engine.location_of engine automaton in
-      if String.equal here armed_in then
+      if Executor.Handle.location_id exec h = armed then
         match !deadline with
         | None ->
             let delay =
@@ -40,10 +50,13 @@ let exponential_stimulus engine ~mean ?(immediately = false) ~automaton
 (** Inject [root] exactly once, the first time [automaton] dwells in
     [armed_in] at or after [at]. *)
 let one_shot engine ~at ~automaton ~armed_in ~root =
+  let exec = Engine.executor engine in
+  let h = Executor.Handle.find exec automaton in
+  let armed = Executor.Handle.location_index exec h armed_in in
   let done_ = ref false in
   Engine.add_process engine ~name:(root ^ "-oneshot") (fun engine ~time ->
       if (not !done_) && time >= at then
-        if String.equal (Engine.location_of engine automaton) armed_in then begin
+        if Executor.Handle.location_id exec h = armed then begin
           done_ := true;
           Engine.inject engine ~receiver:automaton ~root
         end)
@@ -55,14 +68,22 @@ let one_shot engine ~at ~automaton ~armed_in ~root =
 let wired_sensor engine ~period ~from:(src_automaton, src_var)
     ~to_:(dst_automaton, dst_var) ?(transform = fun _rng v -> v) () =
   let rng = Engine.fork_rng engine in
+  let exec = Engine.executor engine in
+  let src =
+    Executor.Slot.reader exec (Executor.Handle.find exec src_automaton) src_var
+  in
+  let dst =
+    Executor.Slot.writer exec (Executor.Handle.find exec dst_automaton) dst_var
+  in
   Engine.add_process engine ~period ~name:(src_var ^ "-sensor")
-    (fun engine ~time:_ ->
-      let raw = Engine.value_of engine src_automaton src_var in
-      Engine.set_value engine dst_automaton dst_var (transform rng raw))
+    (fun _engine ~time:_ ->
+      Executor.Slot.set exec dst (transform rng (Executor.Slot.get exec src)))
 
 (** Every step, write [f engine] into [automaton.var] — for physical
     couplings such as "the patient is being ventilated iff the
     ventilator dwells in a ventilating location". *)
 let coupling engine ~automaton ~var f =
+  let exec = Engine.executor engine in
+  let dst = Executor.Slot.writer exec (Executor.Handle.find exec automaton) var in
   Engine.add_process engine ~name:(var ^ "-coupling") (fun engine ~time:_ ->
-      Engine.set_value engine automaton var (f engine))
+      Executor.Slot.set exec dst (f engine))

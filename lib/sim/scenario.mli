@@ -1,6 +1,13 @@
 (** Scenario combinators for the environment behaviours outside the
     automata formalism: the paper's Ton/Toff surgeon timers, wired
-    sensors, and physical couplings. *)
+    sensors, and physical couplings.
+
+    Every combinator resolves what it names when it is registered: an
+    unknown automaton or location, or a written variable the automaton
+    does not declare, raises [Invalid_argument] naming it, then and
+    there. A variable that is only read keeps the read-as-0 convention.
+    Once registered, a combinator polls by index and compares no string
+    at an instant in which no location changed. *)
 
 val exponential_stimulus :
   Engine.t ->

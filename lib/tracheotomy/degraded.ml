@@ -161,10 +161,13 @@ let install engine ~supervisor config =
   | None -> ()
   | Some transport ->
       let exec = Pte_sim.Engine.executor engine in
-      let force_deny () =
-        Pte_sim.Engine.set_value engine supervisor
-          Pte_core.Pattern.approval_var 0.0
+      let approval =
+        Pte_hybrid.Executor.(
+          Slot.writer exec (Handle.find exec supervisor)
+            Pte_core.Pattern.approval_var)
       in
+      let losses = Pte_net.Transport.loss_count transport ~sender:supervisor in
+      let force_deny () = Pte_hybrid.Executor.Slot.set exec approval 0.0 in
       let arm_exit ~at =
         ignore
           (Pte_hybrid.Executor.schedule exec ~owner:supervisor ~at (fun _exec ->
@@ -177,10 +180,7 @@ let install engine ~supervisor config =
       Pte_sim.Engine.add_process engine ~name:"degraded-safe-mode"
         (fun engine ~time ->
           if h.active then force_deny ()
-          else if
-            Pte_net.Transport.consecutive_losses transport ~sender:supervisor
-            >= config.k
-          then begin
+          else if losses () >= config.k then begin
             h.active <- true;
             h.entries <- h.entries + 1;
             h.entered_at <- time :: h.entered_at;

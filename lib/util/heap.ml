@@ -62,22 +62,34 @@ let push t priority value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t =
-  if t.size = 0 then None
-  else
-    let priority, _, value = t.items.(0) in
-    Some (priority, value)
+let empty name = invalid_arg ("Heap." ^ name ^ ": empty heap")
+
+(* The non-allocating top: the root's fields are read in place. *)
+let min_priority t =
+  if t.size = 0 then empty "min_priority";
+  let priority, _, _ = t.items.(0) in
+  priority
+
+let min_value t =
+  if t.size = 0 then empty "min_value";
+  let _, _, value = t.items.(0) in
+  value
+
+let drop_min t =
+  if t.size = 0 then empty "drop_min";
+  t.size <- t.size - 1;
+  t.items.(0) <- t.items.(t.size);
+  t.items.(t.size) <- t.hole;
+  sift_down t 0
+
+let peek t = if t.size = 0 then None else Some (min_priority t, min_value t)
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let priority, _, value = t.items.(0) in
-    t.size <- t.size - 1;
-    t.items.(0) <- t.items.(t.size);
-    t.items.(t.size) <- t.hole;
-    sift_down t 0;
-    Some (priority, value)
-  end
+  match peek t with
+  | None -> None
+  | top ->
+      drop_min t;
+      top
 
 (** Pop every item with priority <= [upto], in priority/FIFO order. *)
 let pop_until t ~upto =

@@ -68,18 +68,25 @@ let test_undeclared_guard_var () =
   expect_invalid bad "undeclared variable"
 
 let test_undeclared_flow_var () =
-  (* a constant-rate flow over an undeclared variable has no slot in the
-     executor's flat valuation: validation must name it *)
+  (* a flow over an undeclared variable — a constant rate, an ODE read or
+     an ODE write — has no slot in the executor's flat valuation:
+     validation must name it *)
   let a = tiny () in
-  let bad =
-    {
-      a with
-      Automaton.locations =
-        Location.make ~flow:(Flow.Rates [ ("c", 1.0); ("ghost", 2.0) ]) "C"
-        :: a.Automaton.locations;
-    }
+  let ode reads writes =
+    Flow.Ode
+      { reads; writes;
+        f = (fun _ _ dx -> Array.fill dx 0 (Array.length dx) 1.0) }
   in
-  expect_invalid bad "flow of \"C\" mentions undeclared variable \"ghost\""
+  List.iter
+    (fun flow ->
+      let bad =
+        { a with
+          Automaton.locations = Location.make ~flow "C" :: a.Automaton.locations }
+      in
+      expect_invalid bad "flow of \"C\" mentions undeclared variable \"ghost\"")
+    [ Flow.Rates [ ("c", 1.0); ("ghost", 2.0) ];
+      ode [ "c"; "ghost" ] [ "c" ];
+      ode [ "c" ] [ "ghost" ] ]
 
 let test_initial_violating_invariant () =
   let a = tiny () in

@@ -144,6 +144,83 @@ let test_metrics_series () =
         Alcotest.failf "sample (%g, %g) off the level=t line" t v)
     series
 
+(* ---- registration errors: an unknown automaton or location, or an
+        undeclared written variable, used to register silently and raise
+        from inside a later step ---- *)
+
+let expect_registration_error what fragments register =
+  let src, dst = two_plants () in
+  let engine = mk_engine ~automata:[ listener_automaton; src; dst ] () in
+  match register engine with
+  | () -> Alcotest.failf "%s: expected Invalid_argument at registration" what
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun fragment ->
+          let n = String.length fragment and l = String.length msg in
+          let rec at i =
+            i + n <= l && (String.sub msg i n = fragment || at (i + 1))
+          in
+          if not (at 0) then
+            Alcotest.failf "%s: %S does not name %S" what msg fragment)
+        fragments
+
+let test_stimulus_rejects_unknown () =
+  expect_registration_error "automaton" [ "ghost" ] (fun engine ->
+      Pte_sim.Scenario.exponential_stimulus engine ~mean:1.0 ~automaton:"ghost"
+        ~armed_in:"Idle" ~root:"go" ());
+  expect_registration_error "location" [ "listener"; "Nowhere" ] (fun engine ->
+      Pte_sim.Scenario.exponential_stimulus engine ~mean:1.0
+        ~automaton:"listener" ~armed_in:"Nowhere" ~root:"go" ())
+
+let test_one_shot_rejects_unknown () =
+  expect_registration_error "automaton" [ "ghost" ] (fun engine ->
+      Pte_sim.Scenario.one_shot engine ~at:1.0 ~automaton:"ghost"
+        ~armed_in:"Idle" ~root:"go");
+  expect_registration_error "location" [ "listener"; "Nowhere" ] (fun engine ->
+      Pte_sim.Scenario.one_shot engine ~at:1.0 ~automaton:"listener"
+        ~armed_in:"Nowhere" ~root:"go")
+
+let test_sensor_rejects_unknown () =
+  let sensor ~from ~to_ engine =
+    Pte_sim.Scenario.wired_sensor engine ~period:0.1 ~from ~to_ ()
+  in
+  expect_registration_error "source automaton" [ "ghost" ]
+    (sensor ~from:("ghost", "level") ~to_:("sink", "mirror"));
+  expect_registration_error "target automaton" [ "ghost" ]
+    (sensor ~from:("source", "level") ~to_:("ghost", "mirror"));
+  expect_registration_error "written variable" [ "sink"; "nothing" ]
+    (sensor ~from:("source", "level") ~to_:("sink", "nothing"));
+  (* a read variable keeps the read-as-0 convention *)
+  let src, dst = two_plants () in
+  let engine = mk_engine ~automata:[ src; dst ] () in
+  Pte_sim.Engine.set_value engine "sink" "mirror" 5.0;
+  sensor ~from:("source", "nothing") ~to_:("sink", "mirror") engine;
+  Pte_sim.Engine.run engine ~until:0.2;
+  Alcotest.(check (float 0.0)) "undeclared source reads 0" 0.0
+    (Pte_sim.Engine.value_of engine "sink" "mirror")
+
+let test_coupling_rejects_unknown () =
+  expect_registration_error "automaton" [ "ghost" ] (fun engine ->
+      Pte_sim.Scenario.coupling engine ~automaton:"ghost" ~var:"mirror"
+        (fun _ -> 1.0));
+  expect_registration_error "written variable" [ "sink"; "nothing" ]
+    (fun engine ->
+      Pte_sim.Scenario.coupling engine ~automaton:"sink" ~var:"nothing"
+        (fun _ -> 1.0))
+
+let test_coupling_same_value_is_free () =
+  (* rewriting the value a frozen slot holds is a no-op write: it
+     neither replays nor wakes the automaton *)
+  let src, dst = two_plants () in
+  let engine = mk_engine ~automata:[ src; dst ] () in
+  Pte_sim.Scenario.coupling engine ~automaton:"sink" ~var:"mirror" (fun _ -> 0.0);
+  Pte_sim.Engine.run engine ~until:1.0;
+  let stats = Executor.stats (Pte_sim.Engine.executor engine) in
+  Alcotest.(check int) "every write skipped" (stats.Executor.steps + 1)
+    stats.Executor.writes_skipped;
+  Alcotest.(check int) "two first bodies, then asleep" 2
+    stats.Executor.step_bodies
+
 let suite =
   [
     ( "sim.engine",
@@ -162,5 +239,15 @@ let suite =
         Alcotest.test_case "fork rng deterministic" `Quick
           test_fork_rng_deterministic;
         Alcotest.test_case "sample series" `Quick test_metrics_series;
+        Alcotest.test_case "stimulus rejects unknown names" `Quick
+          test_stimulus_rejects_unknown;
+        Alcotest.test_case "one-shot rejects unknown names" `Quick
+          test_one_shot_rejects_unknown;
+        Alcotest.test_case "sensor rejects unknown names" `Quick
+          test_sensor_rejects_unknown;
+        Alcotest.test_case "coupling rejects unknown names" `Quick
+          test_coupling_rejects_unknown;
+        Alcotest.test_case "coupling rewriting its value is free" `Quick
+          test_coupling_same_value_is_free;
       ] );
   ]

@@ -205,17 +205,22 @@ let test_set_value_undeclared () =
     (Executor.value_of exec "plain" "ghost")
 
 let test_ode_undeclared_derivative () =
+  (* the field declares what it drives, so validation names the
+     undeclared variable before the first step *)
   let a =
     Automaton.make ~name:"leaky" ~vars:[ "x" ]
       ~locations:
         [ Location.make
-            ~flow:(Flow.Ode (fun _t _v -> [ ("x", 1.0); ("ghost", 1.0) ]))
+            ~flow:
+              (Flow.Ode
+                 { reads = [];
+                   writes = [ "x"; "ghost" ];
+                   f = (fun _t _x dx -> dx.(0) <- 1.0; dx.(1) <- 1.0) })
             "Run" ]
       ~edges:[] ~initial_location:"Run" ()
   in
-  let exec = Executor.create (system_of [ a ]) in
   expect_invalid_arg "ODE derivative" [ "leaky"; "ghost" ] (fun () ->
-      Executor.run exec ~until:0.1)
+      ignore (Executor.create (system_of [ a ])))
 
 let test_reset_is_simultaneous () =
   (* a := b; b := a swaps: every right-hand side reads the
@@ -272,7 +277,10 @@ let test_ode_integration_accuracy () =
     Automaton.make ~name:"decay" ~vars:[ "x" ]
       ~locations:
         [ Location.make
-            ~flow:(Flow.Ode (fun _t v -> [ ("x", -.Valuation.get v "x") ]))
+            ~flow:
+              (Flow.Ode
+                 { reads = [ "x" ]; writes = [ "x" ];
+                   f = (fun _t x dx -> dx.(0) <- -.x.(0)) })
             "Run" ]
       ~edges:[] ~initial_location:"Run" ~initial_values:[ ("x", 1.0) ] ()
   in
@@ -450,6 +458,10 @@ let replay_fixture fixture trace =
   walk 0 (expected, actual);
   expected
 
+let show_stats (s : Executor.stats) =
+  [ s.steps; s.step_bodies; s.catchup_steps; s.ode_steps; s.writes_skipped;
+    s.tombstones_skipped; s.queue_high_water ]
+
 let test_heap_legacy_traces_identical () =
   (* the heap timeline plus activity-set stabilization must replay the
      legacy engine's trace entry for entry *)
@@ -466,7 +478,11 @@ let test_heap_legacy_traces_identical () =
     [ (0.5, request); (9.0, cancel); (12.0, request); (40.0, cancel) ];
   Executor.run exec ~until:60.0;
   let expected = replay_fixture legacy_fixture (Executor.trace exec) in
-  Alcotest.(check int) "fixture length" 122 (List.length expected)
+  Alcotest.(check int) "fixture length" 122 (List.length expected);
+  (* steps, bodies, catch-up, ODE steps, skipped writes, tombstones,
+     queue high water *)
+  Alcotest.(check (list int)) "work counters" [ 60001; 43; 175965; 0; 0; 0; 4 ]
+    (show_stats (Executor.stats exec))
 
 (* Five automata whose clocks run untouched for long stretches, driven
    from timers through every external read and write of the executor:
@@ -700,6 +716,180 @@ let test_sleep_edge_cases_replay () =
   let expected = replay_fixture sleep_fixture (sleep_edge_cases ()) in
   Alcotest.(check int) "fixture length" 122 (List.length expected)
 
+(* Four automata around a sleeping ODE, recorded by the always-step
+   engine (every ODE location stepping every dt) at dt = 10 ms:
+   - [tank] fills under a field that reads [time], until its [h <= 4]
+     invariant is bisected and forces it to [Drain] (sending [full]);
+     [Drain]'s eager [h < 1] edge sends [refill] — both locations wake
+     every step;
+   - [body] is an ODE with no invariant and no eager edge, so it sleeps:
+     [Live]'s field reads [time], a frozen [v] and drives [s] and a clock
+     [k]; it swaps to [Rest] on [full] and back on [refill]. It is read by
+     timers at irregular instants ([value_of]), by a process every
+     0.73 s, and sampled every 0.377 s; it gets [set_rate], [halt],
+     [restart]; [v] is rewritten every step by a coupling (mostly the
+     value it holds) and once with [-0.0], [k] is rewritten with its own
+     value and with [-0.0] over the [0.0] of a restart;
+   - [clk] is a constant-rate sleeper whose moving [z] is rewritten with
+     its own value, and later set back to a value read 0.15 s earlier
+     (the value its unsynced slot still holds); its frozen [f] gets
+     [0.0] over [0.0], then [-0.0] over [0.0], then its own value;
+   - [mixed] sleeps in a constant-rate location and enters a sleeping
+     ODE (reading [time]) on [full], so its replayed step times start
+     from that entry. *)
+let ode_replay () =
+  let open Guard in
+  let ode reads writes f = Flow.Ode { reads; writes; f } in
+  let tank =
+    Automaton.make ~name:"tank" ~vars:[ "h"; "c" ]
+      ~locations:
+        [ Location.make ~invariant:[ "h" <=. 4.0 ]
+            ~flow:
+              (ode [ "h" ] [ "h"; "c" ] (fun time x dx ->
+                   dx.(0) <- 0.5 +. (0.02 *. time) -. (0.1 *. x.(0));
+                   dx.(1) <- 1.0))
+            "Fill";
+          Location.make
+            ~flow:(ode [ "h" ] [ "h" ] (fun _ x dx -> dx.(0) <- -0.3 *. x.(0)))
+            "Drain" ]
+      ~edges:
+        [ Edge.make ~urgency:Edge.Delayed ~guard:[ "h" >=. 3.0 ]
+            ~reset:(Reset.set "c" 0.0) ~label:(Label.Send "full") ~src:"Fill"
+            ~dst:"Drain" ();
+          Edge.make ~guard:[ "h" <. 1.0 ] ~label:(Label.Send "refill")
+            ~src:"Drain" ~dst:"Fill" () ]
+      ~initial_location:"Fill" ~initial_values:[ ("h", 0.5) ] ()
+  in
+  let body =
+    Automaton.make ~name:"body" ~vars:[ "s"; "v"; "k" ]
+      ~locations:
+        [ Location.make
+            ~flow:
+              (ode [ "s"; "v" ] [ "s"; "k" ] (fun time x dx ->
+                   let s = x.(0) in
+                   dx.(0) <-
+                     (if x.(1) >= 0.5 then 0.25 *. (98.0 -. s) else -0.16)
+                     +. (1e-4 *. time);
+                   dx.(1) <- 1.0))
+            "Live";
+          Location.make
+            ~flow:
+              (ode [ "s" ] [ "k"; "s" ] (fun _ x dx ->
+                   dx.(0) <- 1.0;
+                   dx.(1) <- -0.05 *. (x.(0) -. 90.0)))
+            "Rest" ]
+      ~edges:
+        [ Edge.make ~label:(Label.Recv "full") ~reset:(Reset.set "k" 0.0)
+            ~src:"Live" ~dst:"Rest" ();
+          Edge.make ~label:(Label.Recv "refill") ~src:"Rest" ~dst:"Live" () ]
+      ~initial_location:"Live" ~initial_values:[ ("s", 97.0); ("v", 1.0) ] ()
+  in
+  let clk =
+    Automaton.make ~name:"clk" ~vars:[ "z"; "f" ]
+      ~locations:[ Location.make ~flow:(Flow.Rates [ ("z", 2.0) ]) "Run" ]
+      ~edges:[] ~initial_location:"Run" ()
+  in
+  let mixed =
+    Automaton.make ~name:"mixed" ~vars:[ "y"; "w" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.Rates [ ("w", 1.0) ]) "Wait";
+          Location.make
+            ~flow:
+              (ode [ "y" ] [ "y"; "w" ] (fun time x dx ->
+                   dx.(0) <- (0.01 *. time) -. (0.2 *. x.(0));
+                   dx.(1) <- 0.5))
+            "Grow" ]
+      ~edges:
+        [ Edge.make ~label:(Label.Recv "full") ~src:"Wait" ~dst:"Grow" ();
+          Edge.make ~label:(Label.Recv "refill") ~src:"Grow" ~dst:"Wait" () ]
+      ~initial_location:"Wait" ()
+  in
+  let config =
+    { Executor.default_config with
+      dt = 0.01;
+      sample_period = 0.377;
+      sample_vars =
+        [ ("body", "s"); ("body", "k"); ("body", "v"); ("tank", "h");
+          ("clk", "z"); ("clk", "f"); ("mixed", "y"); ("mixed", "w") ] }
+  in
+  let module E = Pte_sim.Engine in
+  let engine =
+    E.create ~config ~seed:1 (system_of [ tank; body; clk; mixed ])
+  in
+  let exec = E.executor engine in
+  E.add_process engine ~name:"vent" (fun e ~time:_ ->
+      E.set_value e "body" "v" (if E.location_of e "tank" = "Fill" then 1.0 else 0.0));
+  E.add_process engine ~period:0.73 ~name:"probe" (fun e ~time:_ ->
+      E.note e (Printf.sprintf "probe body.s %h" (E.value_of e "body" "s")));
+  let read name var ex =
+    Executor.note ex
+      (Printf.sprintf "%s.%s %h" name var (Executor.value_of ex name var))
+  in
+  let rewrite name var ex =
+    Executor.set_value ex name var (Executor.value_of ex name var)
+  in
+  let saved = ref 0.0 in
+  List.iter
+    (fun (at, f) -> ignore (Executor.schedule exec ~at f))
+    [ (5.123, read "body" "s");
+      (7.0, fun ex -> Executor.set_rate ex "body" 0.8);
+      (11.111, rewrite "body" "v");
+      (12.345, rewrite "body" "k");
+      (12.345, read "body" "k");
+      (13.0, rewrite "clk" "z");
+      (13.0, fun ex -> Executor.set_value ex "clk" "f" 0.0);
+      (14.0, fun ex -> Executor.set_value ex "clk" "f" (-0.0));
+      (15.5, fun ex -> Executor.halt ex "body");
+      (17.25, read "body" "s");
+      (19.0, fun ex -> Executor.restart ex "body");
+      (19.0, fun ex -> Executor.set_value ex "body" "k" (-0.0));
+      (19.0, read "body" "k");
+      (21.003, fun ex -> Executor.set_value ex "body" "v" (-0.0));
+      (23.0, fun ex -> Executor.set_rate ex "body" 1.0);
+      (26.5, rewrite "clk" "f");
+      (27.15, fun ex -> saved := Executor.value_of ex "clk" "z");
+      (27.3, fun ex -> Executor.set_value ex "clk" "z" !saved);
+      (29.9, read "tank" "h");
+      (33.33, read "body" "s") ];
+  E.run engine ~until:40.0;
+  (E.trace engine, Executor.stats exec)
+
+let ode_fixture = "fixtures/ode-replay.trace"
+
+let test_ode_replay () =
+  let trace, stats = ode_replay () in
+  let expected = replay_fixture ode_fixture trace in
+  Alcotest.(check int) "fixture length" 987 (List.length expected);
+  (* [body] slept: its ODE ran as replays, not step bodies *)
+  Alcotest.(check bool) "body slept" true
+    (stats.Executor.step_bodies < 2 * stats.Executor.steps);
+  Alcotest.(check bool) "no-op writes skipped" true
+    (stats.Executor.writes_skipped > 3000)
+
+(* The work counters are a function of the system, the config and the
+   inputs: pinned on the legacy N = 3 run and on a 300-s Table-I trial
+   (with lease, E(Toff) 18 s), where the patient's ODE sleeps between the
+   oximeter's 1-s readings and the per-step lung coupling's unchanged
+   writes are skipped. *)
+let test_work_counters_pinned () =
+  (* a revoked timer stays in the queue as a tombstone until it
+     surfaces *)
+  let exec = Executor.create (idle_system ()) in
+  let revoked = Executor.schedule exec ~at:0.0105 ignore in
+  ignore (Executor.schedule exec ~at:0.02 ignore);
+  Executor.cancel exec revoked;
+  Executor.run exec ~until:0.03;
+  Alcotest.(check (list int)) "one tombstone"
+    [ 30; 1; 0; 0; 0; 1; 2 ] (show_stats (Executor.stats exec));
+  let config =
+    { Pte_tracheotomy.Emulation.default with horizon = 300.0; seed = 2013 }
+  in
+  let built = Pte_tracheotomy.Emulation.build config in
+  ignore (Pte_tracheotomy.Emulation.run built);
+  Alcotest.(check (list int)) "300-s trial"
+    [ 30001; 330; 109313; 30000; 30297; 0; 2 ]
+    (show_stats (Executor.stats (Pte_sim.Engine.executor built.engine)))
+
 (* ---- timeline oracle: random schedule / cancel traffic through the
         public API against a sorted-list model ---- *)
 
@@ -883,5 +1073,9 @@ let suite =
           test_reads_during_the_step_loop;
         Alcotest.test_case "a flow naming one slot twice" `Quick
           test_slot_listed_twice;
+        Alcotest.test_case "sleeping ODE replays its recorded trace" `Quick
+          test_ode_replay;
+        Alcotest.test_case "work counters pinned" `Quick
+          test_work_counters_pinned;
       ] );
   ]

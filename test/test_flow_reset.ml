@@ -21,7 +21,8 @@ let test_rate_of () =
 
 let test_ode () =
   let flow =
-    Flow.Ode (fun _t v -> [ ("x", -.Valuation.get v "x") ])
+    Flow.Ode
+      { reads = [ "x" ]; writes = [ "x" ]; f = (fun _t x dx -> dx.(0) <- -.x.(0)) }
   in
   let v = Valuation.of_list [ ("x", 4.0) ] in
   Alcotest.(check (float 1e-12)) "ode rate" (-4.0)
@@ -34,7 +35,9 @@ let test_combine_rates () =
   Alcotest.(check (float 0.0)) "b" 2.0 (Flow.rate_of combined ~time:0.0 Valuation.empty "b")
 
 let test_combine_with_ode () =
-  let ode = Flow.Ode (fun _ _ -> [ ("x", 5.0) ]) in
+  let ode =
+    Flow.Ode { reads = []; writes = [ "x" ]; f = (fun _ _ dx -> dx.(0) <- 5.0) }
+  in
   let combined = Flow.combine (Flow.Rates [ ("c", 1.0) ]) ode in
   Alcotest.(check bool) "becomes ode" false (Flow.is_constant_rate combined);
   Alcotest.(check (float 0.0)) "c" 1.0 (Flow.rate_of combined ~time:0.0 Valuation.empty "c");

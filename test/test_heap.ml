@@ -68,6 +68,80 @@ let prop_heap_sorts =
       drain ();
       List.rev !popped = List.sort Float.compare priorities)
 
+(* The non-allocating top against [peek]/[pop]: two heaps fed the same
+   pushes, cancels (tombstones, skipped when they surface, as the
+   executor's timeline does) and drains pop the same (due, value)
+   stream. *)
+type heap_op = Push of float * int | Cancel of int | Drain of float
+
+let show_heap_op = function
+  | Push (p, v) -> Printf.sprintf "Push (%g, %d)" p v
+  | Cancel v -> Printf.sprintf "Cancel %d" v
+  | Drain upto -> Printf.sprintf "Drain %g" upto
+
+let prop_top_matches_peek_pop =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (frequency
+           [ (4, map2 (fun p v -> Push (Float.of_int p, v)) (int_range 0 8) (int_range 0 30));
+             (1, map (fun v -> Cancel v) (int_range 0 30));
+             (2, map (fun u -> Drain (Float.of_int u)) (int_range 0 9)) ]))
+  in
+  QCheck.Test.make ~name:"min_priority/min_value/drop_min pop as peek/pop"
+    ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops)) gen)
+    (fun ops ->
+      let a = Heap.create ~dummy:0 and b = Heap.create ~dummy:0 in
+      let cancelled = Hashtbl.create 8 in
+      let out_a = ref [] and out_b = ref [] in
+      let rec drain_a upto =
+        match Heap.peek a with
+        | Some (_, v) when Hashtbl.mem cancelled v ->
+            ignore (Heap.pop a);
+            drain_a upto
+        | Some (p, _) when p <= upto ->
+            out_a := Option.get (Heap.pop a) :: !out_a;
+            drain_a upto
+        | Some _ | None -> ()
+      in
+      let rec drain_b upto =
+        if not (Heap.is_empty b) then
+          let v = Heap.min_value b in
+          if Hashtbl.mem cancelled v then begin
+            Heap.drop_min b;
+            drain_b upto
+          end
+          else if Heap.min_priority b <= upto then begin
+            out_b := (Heap.min_priority b, v) :: !out_b;
+            Heap.drop_min b;
+            drain_b upto
+          end
+      in
+      List.iter
+        (function
+          | Push (p, v) ->
+              Hashtbl.remove cancelled v;
+              Heap.push a p v;
+              Heap.push b p v
+          | Cancel v -> Hashtbl.replace cancelled v ()
+          | Drain upto ->
+              drain_a upto;
+              drain_b upto)
+        (ops @ [ Drain infinity ]);
+      !out_a = !out_b && Heap.length a = Heap.length b)
+
+let test_top_on_empty () =
+  let h = Heap.create ~dummy:"" in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s on an empty heap returned" name
+      | exception Invalid_argument _ -> ())
+    [ ("min_priority", fun () -> ignore (Heap.min_priority h));
+      ("min_value", fun () -> ignore (Heap.min_value h));
+      ("drop_min", fun () -> Heap.drop_min h) ]
+
 let suite =
   [
     ( "util.heap",
@@ -79,5 +153,7 @@ let suite =
         Alcotest.test_case "pop_until" `Quick test_pop_until;
         Alcotest.test_case "clear" `Quick test_clear;
         QCheck_alcotest.to_alcotest prop_heap_sorts;
+        Alcotest.test_case "top on an empty heap" `Quick test_top_on_empty;
+        QCheck_alcotest.to_alcotest prop_top_matches_peek_pop;
       ] );
   ]

@@ -375,7 +375,9 @@ let gen_automaton =
     oneof
       [
         map (fun r -> Flow.Rates r) rates;
-        return (Flow.Ode (fun _ _ -> [ ("x", 1.0) ]));
+        return
+          (Flow.Ode
+             { reads = []; writes = [ "x" ]; f = (fun _ _ dx -> dx.(0) <- 1.0) });
       ]
   in
   let location name =
