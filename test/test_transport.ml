@@ -928,6 +928,119 @@ let test_reset_vs_inflight_exchange () =
   Alcotest.(check int) "all three exchanges resolved" 3
     (Transport.stats t).Transport.gave_up
 
+(* ---- recorded trace: every non-bare mode end to end ---- *)
+
+(* Three 120-s trials at 60% Gilbert-Elliott loss, one per non-bare
+   mode, with every laser uplink frame duplicated; short surgeon timers
+   (E(Ton) 6 s, E(Toff) 3 s) keep the radio busy, and the slotted mode
+   admits one send per link at a time. Each trial's trace
+   opens with a "mode" note and carries one note per exchange
+   milestone (observer), one per send the router loses at once (in
+   slotted mode: an admission rejection) and a closing stats note, so
+   the fixture pins retransmission timing, duplicate suppression,
+   give-ups, admission and adaptive switching, not just the automata. *)
+let transport_fixture = "fixtures/transport-modes.trace"
+
+let transport_modes_trace () =
+  let faults =
+    { Plan.empty with
+      Plan.packet_faults =
+        [ Plan.packet ~entity:"laser" ~direction:Plan.Up
+            ~occurrence:Plan.Every Plan.Duplicate ] }
+  in
+  List.concat_map
+    (fun (label, transport) ->
+      let built =
+        Emulation.build
+          { Emulation.default with
+            horizon = 120.0;
+            seed = 1;
+            e_ton = 6.0;
+            e_toff = 3.0;
+            loss = Loss.wifi_interference ~average_loss:0.6;
+            faults;
+            transport }
+      in
+      let engine = built.Emulation.engine in
+      let exec = Pte_sim.Engine.executor engine in
+      let t = built.Emulation.transport in
+      let note fmt = Fmt.kstr (Pte_sim.Engine.note engine) fmt in
+      note "mode %s" label;
+      Transport.set_observer t (function
+        | Transport.Exchange_delivered { src; dst; seq; sent_at; arrival } ->
+            note "delivered %s->%s #%d sent %h arrived %h" src dst seq sent_at
+              arrival
+        | Transport.Exchange_confirmed { src; dst; seq; at } ->
+            note "confirmed %s->%s #%d at %h" src dst seq at
+        | Transport.Exchange_gave_up { src; dst; seq; at } ->
+            note "gave up %s->%s #%d at %h" src dst seq at);
+      let route = Transport.router t in
+      Exec.set_router exec (fun ~time ~sender ~root ~receiver ->
+          let decision = route ~time ~sender ~root ~receiver in
+          if decision = Exec.Lose then
+            note "router loses %s %s->%s" root sender receiver;
+          decision);
+      ignore (Emulation.run built);
+      let s = Transport.stats t in
+      note "stats %a worst %h consec %d" Transport.pp_stats s
+        s.Transport.worst_latency s.Transport.max_consec_losses;
+      Pte_sim.Engine.trace engine)
+    [ ("reliable", `Reliable Transport.default_config);
+      ("scheduled",
+       `Scheduled { Pte_sched.Synth.default_policy with Pte_sched.Synth.depth = 1 });
+      ("adaptive", `Adaptive Transport.default_adaptive) ]
+
+let test_transport_modes_replay_fixture () =
+  let expected =
+    Test_executor.replay_fixture transport_fixture (transport_modes_trace ())
+  in
+  let contains needle line =
+    let n = String.length needle and l = String.length line in
+    let rec at i = i + n <= l && (String.sub line i n = needle || at (i + 1)) in
+    at 0
+  in
+  (* the lines of one trial, from its "mode" note to the next *)
+  let section label =
+    let rec skip = function
+      | [] -> Alcotest.failf "fixture has no %s trial" label
+      | line :: rest ->
+          if String.ends_with ~suffix:("note: mode " ^ label) line then rest
+          else skip rest
+    in
+    let rec take = function
+      | line :: rest when not (contains "note: mode " line) -> line :: take rest
+      | _ -> []
+    in
+    take (skip expected)
+  in
+  (* a counter of the trial's closing stats note, e.g. "retx" *)
+  let stat lines key =
+    let line = List.find (contains "note: stats ") lines in
+    match
+      List.find_map
+        (fun w ->
+          match String.split_on_char ':' w with
+          | [ k; v ] when k = key -> int_of_string_opt v
+          | _ -> None)
+        (String.split_on_char ' ' line)
+    with
+    | Some v -> v
+    | None -> Alcotest.failf "no %s in %S" key line
+  in
+  let reliable = section "reliable"
+  and scheduled = section "scheduled"
+  and adaptive = section "adaptive" in
+  (* the fixture exercises what it is meant to pin *)
+  List.iter
+    (fun (ok, what) -> if not ok then Alcotest.failf "fixture has no %s" what)
+    [ (stat reliable "retx" > 0, "retransmission");
+      (stat reliable "dups" > 0 && stat scheduled "dups" > 0,
+       "suppressed duplicate");
+      (List.exists (contains "note: gave up ") reliable, "ARQ give-up");
+      (List.exists (contains "note: router loses ") scheduled,
+       "scheduled admission rejection");
+      (stat adaptive "switches-up" > 0, "adaptive switch") ]
+
 let suite =
   [
     ( "net.transport",
@@ -974,5 +1087,7 @@ let suite =
           test_degraded_hold_expiry_on_timer;
         Alcotest.test_case "counter reset vs an in-flight exchange" `Quick
           test_reset_vs_inflight_exchange;
+        Alcotest.test_case "non-bare modes replay their recorded trace"
+          `Quick test_transport_modes_replay_fixture;
       ] );
   ]
