@@ -1,15 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (plus the extension experiments of DESIGN.md) and runs the
-   Bechamel performance microbenches.
+   evaluation (plus the extension experiments of DESIGN.md).
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe T1 X1      # a subset, by experiment id
 
    Experiment ids: T1 F1 F2 F3 F6 SV1 SV2 SV3 V1 V2 X1 X2 X3 A1 A2 A3 R1 C1
-   P1 P2 S1 (see DESIGN.md, "Per-experiment index"). Output is plain text
-   tables so the run can be diffed against EXPERIMENTS.md. `--smoke` shrinks
-   the workloads (fewer occurrences/trials, shorter horizons) for CI-sized
-   runs. *)
+   P2 S1 (see DESIGN.md, "Per-experiment index"); an unknown id exits 2
+   before anything runs. Output is plain text tables so the run can be
+   diffed against EXPERIMENTS.md. `--smoke` shrinks the workloads (fewer
+   occurrences/trials, shorter horizons) for CI-sized runs, and writes no
+   BENCH_<id>.json. *)
 
 open Pte_util
 
@@ -19,20 +19,23 @@ let smoke = ref false
 (* Machine-readable companions to the bench tables: BENCH_<id>.json next
    to the text output, so the perf/robustness trajectory diffs across
    PRs. Schema: { bench, seed, params, metrics: [ {name, ..., mean,
-   ci95, n} ] }. *)
+   ci95, n} ] }. A smoke run's reduced figures must never overwrite a
+   full run's file, so it writes none. *)
 let write_bench_json ~bench ~seed ~params ~metrics =
-  let module J = Pte_util.Json in
-  let path = Fmt.str "BENCH_%s.json" bench in
-  let json =
-    J.Obj
-      [ ("bench", J.Str bench); ("seed", J.Num (Float.of_int seed));
-        ("params", J.Obj params); ("metrics", J.Arr metrics) ]
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  if not !smoke then begin
+    let module J = Pte_util.Json in
+    let path = Fmt.str "BENCH_%s.json" bench in
+    let json =
+      J.Obj
+        [ ("bench", J.Str bench); ("seed", J.Num (Float.of_int seed));
+          ("params", J.Obj params); ("metrics", J.Arr metrics) ]
+    in
+    let oc = open_out path in
+    output_string oc (J.to_string json);
+    output_char oc '\n';
+    close_out oc;
+    Fmt.pr "wrote %s@." path
+  end
 
 let summary_fields (s : Pte_campaign.Aggregate.summary) =
   let module J = Pte_util.Json in
@@ -607,7 +610,11 @@ let a1 () =
   let budget =
     Pte_net.Transport.worst_case_latency tcfg ~frame_delay:0.03
   in
-  let rows = T.availability_sweep ~reps ~horizon ~seed ~losses () in
+  let rows =
+    T.transport_matrix ~reps ~horizon ~seed ~losses
+      ~transports:[ ("bare", `Bare); ("reliable", `Reliable tcfg) ]
+      ()
+  in
   let table =
     Table.create
       ~title:
@@ -624,7 +631,8 @@ let a1 () =
       ()
   in
   List.iter
-    (fun (loss, (b : T.replicated), (r : T.replicated)) ->
+    (fun (loss, cells) ->
+      let b = List.assoc "bare" cells and r = List.assoc "reliable" cells in
       Table.add_row table
         [ Fmt.str "%.0f%%" (100.0 *. loss);
           Fmt.str "%a" Pte_campaign.Aggregate.pp_summary b.T.agg.T.emissions;
@@ -646,7 +654,7 @@ let a1 () =
   let module J = Pte_util.Json in
   let metric_rows =
     List.concat_map
-      (fun (loss, (b : T.replicated), (r : T.replicated)) ->
+      (fun (loss, cells) ->
         List.concat_map
           (fun (transport, (row : T.replicated)) ->
             [ J.Obj
@@ -657,7 +665,7 @@ let a1 () =
                 ([ ("name", J.Str "failures"); ("loss", J.Num loss);
                    ("transport", J.Str transport) ]
                 @ summary_fields row.T.agg.T.failures) ])
-          [ ("bare", b); ("reliable", r) ])
+          cells)
       rows
   in
   write_bench_json ~bench:"A1" ~seed
@@ -1509,113 +1517,6 @@ let c1 () =
     Fmt.failwith "C1: without-lease baseline certified — gate logic broken"
 
 (* ------------------------------------------------------------------ *)
-(* P1: Bechamel performance microbenches                               *)
-(* ------------------------------------------------------------------ *)
-
-let p1 () =
-  let open Bechamel in
-  let vent_system () =
-    Pte_hybrid.System.make ~name:"bench"
-      [ Pte_tracheotomy.Ventilator.stand_alone ]
-  in
-  let trace_for_monitor =
-    (* a cached 300 s trial trace for the monitor bench *)
-    lazy
-      (let built =
-         Pte_tracheotomy.Emulation.build
-           { Pte_tracheotomy.Emulation.default with horizon = 300.0; seed = 77 }
-       in
-       let trace = Pte_tracheotomy.Emulation.run built in
-       (trace, built))
-  in
-  let tests =
-    [
-      Test.make ~name:"rng.exponential.x100"
-        (Staged.stage (fun () ->
-             let rng = Rng.create 1 in
-             for _ = 1 to 100 do
-               ignore (Rng.exponential rng ~mean:18.0)
-             done));
-      Test.make ~name:"crc16.64B"
-        (Staged.stage (fun () ->
-             ignore (Pte_net.Crc.of_string (String.make 64 'x'))));
-      Test.make ~name:"heap.push-pop.100"
-        (Staged.stage (fun () ->
-             let h = Heap.create ~dummy:0 in
-             for i = 1 to 100 do
-               Heap.push h (Float.of_int (i * 7919 mod 100)) i
-             done;
-             while not (Heap.is_empty h) do
-               ignore (Heap.pop h)
-             done));
-      Test.make ~name:"executor.1s-ventilator"
-        (Staged.stage (fun () ->
-             let exec = Pte_hybrid.Executor.create (vent_system ()) in
-             Pte_hybrid.Executor.run exec ~until:1.0));
-      Test.make ~name:"pattern.build-N2"
-        (Staged.stage (fun () -> ignore (Pte_core.Pattern.system params)));
-      Test.make ~name:"constraints.check"
-        (Staged.stage (fun () -> ignore (Pte_core.Constraints.check params)));
-      Test.make ~name:"monitor.analyze-300s-trace"
-        (Staged.stage (fun () ->
-             let trace, built = Lazy.force trace_for_monitor in
-             ignore
-               (Pte_core.Monitor.analyze_system trace
-                  built.Pte_tracheotomy.Emulation.system
-                  built.Pte_tracheotomy.Emulation.spec ~horizon:300.0)));
-      Test.make ~name:"dbm.canonicalize-14clk"
-        (Staged.stage (fun () ->
-             let z = Pte_mc.Dbm.top ~clocks:13 in
-             ignore
-               (Pte_mc.Dbm.constrain_atom z ~clock:1 ~cmp:Pte_mc.Dbm.Le
-                  ~const:5.0);
-             Pte_mc.Dbm.canonicalize z));
-      Test.make ~name:"trial.30s-with-lease"
-        (Staged.stage (fun () ->
-             ignore
-               (Pte_tracheotomy.Trial.run
-                  { Pte_tracheotomy.Emulation.default with horizon = 30.0;
-                    seed = 3 })));
-    ]
-  in
-  ignore (Lazy.force trace_for_monitor);
-  let grouped = Test.make_grouped ~name:"pte" tests in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let table =
-    Table.create
-      ~title:"P1: performance microbenches (Bechamel, monotonic clock)"
-      ~header:[ "benchmark"; "time per run"; "r^2" ]
-      ~aligns:[ Table.Left; Table.Right; Table.Right ] ()
-  in
-  let rows = ref [] in
-  Hashtbl.iter (fun name result -> rows := (name, result) :: !rows) results;
-  List.iter
-    (fun (name, result) ->
-      let estimate =
-        match Analyze.OLS.estimates result with
-        | Some (est :: _) ->
-            if est > 1e9 then Fmt.str "%.2f s" (est /. 1e9)
-            else if est > 1e6 then Fmt.str "%.2f ms" (est /. 1e6)
-            else if est > 1e3 then Fmt.str "%.2f us" (est /. 1e3)
-            else Fmt.str "%.0f ns" est
-        | _ -> "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square result with
-        | Some r -> Fmt.str "%.3f" r
-        | None -> "-"
-      in
-      Table.add_row table [ name; estimate; r2 ])
-    (List.sort compare !rows);
-  Table.print table
-
-(* ------------------------------------------------------------------ *)
 (* P2: campaign engine throughput scaling with worker domains          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1951,8 +1852,7 @@ let s1_scale () =
     ~params:
       [ ("sizes", J.Arr (List.map (fun n -> J.Num (Float.of_int n)) sizes));
         ("storm_horizon", J.Num storm_horizon);
-        ("emu_horizon", J.Num emu_horizon);
-        ("smoke", J.Num (if !smoke then 1.0 else 0.0)) ]
+        ("emu_horizon", J.Num emu_horizon) ]
     ~metrics:
       (List.map
          (fun (n, events, rate) ->
@@ -1993,7 +1893,7 @@ let experiments =
     ("T1", t1); ("F1", f1); ("F2", f2); ("F3", f3); ("F6", f6); ("SV1", sv1);
     ("SV2", sv2); ("SV3", sv3); ("V1", v1); ("V2", v2); ("X1", x1); ("X2", x2);
     ("X3", x3); ("A1", a1); ("A2", a2); ("A3", a3); ("R1", r1); ("C1", c1);
-    ("P1", p1); ("P2", p2); ("S1", s1_scale);
+    ("P2", p2); ("S1", s1_scale);
   ]
 
 let () =
@@ -2011,18 +1911,21 @@ let () =
     | _ :: _ as ids -> List.map String.uppercase_ascii ids
     | [] -> List.map fst experiments
   in
+  List.iter
+    (fun id ->
+      if not (List.mem_assoc id experiments) then begin
+        Fmt.epr "unknown experiment id %S (known: %s)@." id
+          (String.concat " " (List.map fst experiments));
+        exit 2
+      end)
+    requested;
   let t0 = Unix.gettimeofday () in
   Fmt.pr "PTE-Lease benchmark harness — reproducing the paper's evaluation@.";
   Fmt.pr "configuration: %a@.@." Pte_core.Params.pp params;
   List.iter
     (fun id ->
-      match List.assoc_opt id experiments with
-      | Some f ->
-          let t = Unix.gettimeofday () in
-          f ();
-          Fmt.pr "[%s done in %.1fs]@.@." id (Unix.gettimeofday () -. t)
-      | None ->
-          Fmt.epr "unknown experiment id %S (known: %s)@." id
-            (String.concat " " (List.map fst experiments)))
+      let t = Unix.gettimeofday () in
+      (List.assoc id experiments) ();
+      Fmt.pr "[%s done in %.1fs]@.@." id (Unix.gettimeofday () -. t))
     requested;
   Fmt.pr "total: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -1,7 +1,11 @@
-(** Per-endpoint reliable-delivery transport over the star links: ARQ
-    with bounded exponential backoff, receiver ACKs on the reverse link,
-    and (src, seq) duplicate suppression. Reliable exchanges run
-    event-driven on the executor's timeline — see the interface. *)
+(** Per-endpoint transport over the star links. One mutable carrier
+    decides how each radio send goes: a bare single shot, an ARQ
+    exchange (bounded exponential backoff, ACKs on the reverse link) or
+    blind copies in a synthesized slot schedule; ARQ and slotted sends
+    share one exchange record and one receive/resolve path on the
+    executor's timeline, and every send has (src, seq) duplicate
+    suppression. The adaptive mode only swaps the carrier — see the
+    interface. *)
 
 module Executor = Pte_hybrid.Executor
 
@@ -111,47 +115,67 @@ type event =
   | Exchange_confirmed of { src : string; dst : string; seq : int; at : float }
   | Exchange_gave_up of { src : string; dst : string; seq : int; at : float }
 
-(* Receiver-side dedup state for one (src, dst) flow. Sequence numbers
-   are allocated monotonically per flow (link frames in `Bare mode,
-   end-to-end exchange numbers in `Reliable mode), so a cumulative
-   high-water mark plus a small window for copies that overtake each
-   other replaces the old one-entry-per-send hashtable: memory is
+
+(* The carrier: how the next radio send goes. Static modes fix it at
+   {!create}; the [`Adaptive] safe-switch protocol swaps it between the
+   healthy carrier ([Bare] or [Arq]) and a synthesized [Slots] schedule,
+   so [Slots] in an adaptive transport is the degraded tier. [index] is
+   the hashed (src, dst) -> entry view of [sched]: the per-send
+   [Schedule.find] list walk is O(links), thousands of entries on a
+   1000-entity star. *)
+type carrier =
+  | Bare
+  | Arq of config
+  | Slots of { sched : Pte_sched.Schedule.t; index : Pte_sched.Schedule.index }
+
+let slots sched = Slots { sched; index = Pte_sched.Schedule.index sched }
+
+(* The carrier's closed-form bound on the delivery delay of a send. *)
+let carrier_bound star = function
+  | Bare -> Star.worst_frame_delay star
+  | Arq cfg -> worst_case_latency cfg ~frame_delay:(Star.worst_frame_delay star)
+  | Slots { sched; _ } -> Pte_sched.Schedule.worst_case_latency sched
+
+(* Receiver-side dedup keeps a cumulative high-water mark plus a small
+   window for copies that overtake each other: memory is
    O(flows + window), not O(sends). *)
 let dedup_window = 64
 
-type flow_seen = {
+type route = Wired | No_route | Radio of Link.t
+
+(* Everything the transport keeps per (src, dst) pair, found with one
+   lookup per send: the route through the star, the receiver's dedup
+   state, the exchange sequence counter and the slot reservations.
+   Sequence numbers are allocated monotonically per flow (link frames
+   under the [Bare] carrier, exchange numbers otherwise). Under [Slots],
+   [next_free] is the end of the last admitted send's blind-copy span
+   (admission never books a slot before it) and [booked] counts
+   admitted sends whose span has not yet passed — the admission bound
+   that keeps {!Pte_sched.Schedule.link_worst_case_latency}
+   closed-form. *)
+type flow = {
+  route : route;
   mutable high : int;  (* every seq <= high counts as already seen *)
   mutable recent : int list;  (* seen seqs above the high-water mark *)
+  mutable next_seq : int;
+  mutable next_free : float;
+  mutable booked : int;
 }
 
-(* Per-link reservation state in `Scheduled mode: [next_free] is the
-   end of the last admitted send's blind-copy span (admission never
-   books a slot before it), and [inflight] counts admitted sends whose
-   span has not yet passed — the admission bound that keeps
-   {!Pte_sched.Schedule.link_worst_case_latency} closed-form. *)
-type sched_link = { mutable next_free : float; mutable inflight : int }
-
-(* Runtime state of the `Adaptive mode's safe-switch protocol. The
-   tier names which sub-mode carries new sends; a pending target means
-   a switch has been admitted (Theorem-1 recheck passed) and is
-   quiescing — waiting for in-flight exchanges of the outgoing mode to
-   drain, bounded by a time-out timer at the outgoing mode's own
-   worst-case latency. *)
-type adapt_target = To_healthy | To_degraded of Pte_sched.Schedule.t
-
+(* Runtime state of the `Adaptive mode's safe-switch protocol. A
+   pending carrier means a switch has been admitted (Theorem-1 recheck
+   passed) and is quiescing — waiting for in-flight exchanges of the
+   outgoing carrier to drain, bounded by a time-out timer at the
+   outgoing carrier's own worst-case latency. The pooled estimator
+   drives the decisions: the star shares one interference environment,
+   so outcomes from every sender inform the switch. *)
 type adapt = {
   a_cfg : adaptive_config;
-  (* per-sender estimators (inspection, tests) and the pooled one that
-     drives tier decisions: the star shares one interference
-     environment, so outcomes from every sender inform the switch. *)
-  a_est : (string, Pte_adapt.Estimator.t) Hashtbl.t;
   a_pool : Pte_adapt.Estimator.t;
-  a_healthy_wcl : float;  (* closed-form bound of the healthy mode *)
-  mutable a_tier : Pte_adapt.Policy.tier;
-  mutable a_sched : Pte_sched.Schedule.t option;  (* while degraded *)
+  a_healthy : carrier;
   mutable a_switched_at : float;
   mutable a_samples_since : int;  (* outcomes since the last switch *)
-  mutable a_pending : adapt_target option;  (* admitted, quiescing *)
+  mutable a_pending : carrier option;  (* admitted, quiescing *)
   mutable a_pending_token : Executor.token option;
   mutable a_admit : (candidate_latency:float -> bool) option;
 }
@@ -161,77 +185,52 @@ type t = {
   mode : mode;
   rng : Pte_util.Rng.t;
   stats : stats;
-  seen : (string * string, flow_seen) Hashtbl.t;
-  (* per-flow end-to-end sequence counters (`Reliable mode). *)
-  next_seq : (string * string, int ref) Hashtbl.t;
+  flows : (string * string, flow) Hashtbl.t;
   (* per-sender consecutive unconfirmed sends, for degraded-safe-mode. *)
   consec : (string, int ref) Hashtbl.t;
-  (* the concrete round schedule (`Scheduled mode), synthesized from
-     the star at creation. *)
-  sched : Pte_sched.Schedule.t option;
-  (* per-link reservation state (`Scheduled mode). *)
-  sched_links : (string * string, sched_link) Hashtbl.t;
-  (* hashed (src, dst) -> entry view of the live schedule, keyed by the
-     schedule value itself so an adaptive re-synthesis invalidates it.
-     The per-send [Schedule.find] list walk is O(links) — thousands of
-     entries on a 1000-entity star. *)
-  mutable sched_index :
-    (Pte_sched.Schedule.t * Pte_sched.Schedule.index) option;
+  mutable carrier : carrier;
   (* the executor whose timeline carries this transport's timers and
-     arrivals (`Reliable and `Scheduled modes); set by {!attach}. *)
+     arrivals ([Arq] and [Slots] carriers); set by {!attach}. *)
   mutable exec : Executor.t option;
   mutable observer : (event -> unit) option;
   (* `Adaptive mode runtime state ([Some _] exactly in that mode). *)
   adapt : adapt option;
-  (* exchanges admitted but not yet resolved (reliable exchanges and
-     scheduled blind spans) — the quiesce condition of the safe-switch
-     protocol. *)
+  (* exchanges admitted but not yet resolved (ARQ exchanges and slotted
+     blind spans) — the quiesce condition of the safe-switch protocol. *)
   mutable inflight_exchanges : int;
 }
 
-(* The healthy sub-mode's closed-form latency bound — what the
-   safe-switch protocol rechecks before de-escalating back to it. *)
-let healthy_wcl star = function
-  | `Bare -> Star.worst_frame_delay star
-  | `Reliable cfg ->
-      worst_case_latency cfg ~frame_delay:(Star.worst_frame_delay star)
-
 let create ~mode ~rng star =
-  let sched =
+  let check = function Ok () -> () | Error msg -> invalid_arg msg in
+  let carrier, adapt =
     match mode with
-    | `Bare | `Adaptive _ -> None
-    | `Reliable cfg -> (
-        match validate cfg with
-        | Ok () -> None
-        | Error msg -> invalid_arg msg)
+    | `Bare -> (Bare, None)
+    | `Reliable cfg ->
+        check (validate cfg);
+        (Arq cfg, None)
     | `Scheduled policy -> (
         match
           Pte_sched.Synth.synthesize policy ~links:(Star.schedule_links star)
         with
-        | Ok sched -> Some sched
+        | Ok sched -> (slots sched, None)
         | Error e -> invalid_arg (Pte_sched.Synth.error_to_string e))
-  in
-  let adapt =
-    match mode with
-    | `Bare | `Reliable _ | `Scheduled _ -> None
     | `Adaptive a ->
-        (match validate_adaptive a with
-        | Ok () -> ()
-        | Error msg -> invalid_arg msg);
-        Some
-          {
-            a_cfg = a;
-            a_est = Hashtbl.create 8;
-            a_pool = Pte_adapt.Estimator.create a.estimator;
-            a_healthy_wcl = healthy_wcl star a.healthy;
-            a_tier = Pte_adapt.Policy.Healthy;
-            a_sched = None;
-            a_switched_at = 0.0;
-            a_samples_since = 0;
-            a_pending = None;
-            a_pending_token = None;
-            a_admit = None;
-          }
+        check (validate_adaptive a);
+        let healthy =
+          match a.healthy with `Bare -> Bare | `Reliable cfg -> Arq cfg
+        in
+        ( healthy,
+          Some
+            {
+              a_cfg = a;
+              a_pool = Pte_adapt.Estimator.create a.estimator;
+              a_healthy = healthy;
+              a_switched_at = 0.0;
+              a_samples_since = 0;
+              a_pending = None;
+              a_pending_token = None;
+              a_admit = None;
+            } )
   in
   {
     star;
@@ -242,12 +241,9 @@ let create ~mode ~rng star =
         acks_sent = 0; acks_lost = 0; dups_suppressed = 0;
         worst_latency = 0.0; max_consec_losses = 0; switches_up = 0;
         switches_down = 0; switch_refusals = 0 };
-    seen = Hashtbl.create 8;
-    next_seq = Hashtbl.create 8;
+    flows = Hashtbl.create 8;
     consec = Hashtbl.create 8;
-    sched;
-    sched_links = Hashtbl.create 8;
-    sched_index = None;
+    carrier;
     exec = None;
     observer = None;
     adapt;
@@ -260,12 +256,10 @@ let observe t ev = match t.observer with Some f -> f ev | None -> ()
 
 let mode t = t.mode
 let stats t = t.stats
+let latency_bound t = carrier_bound t.star t.carrier
 
-(* In `Adaptive mode the live schedule is the one the safe-switch
-   protocol last committed (None while healthy); the static `Scheduled
-   schedule otherwise. *)
 let schedule t =
-  match t.adapt with Some a -> a.a_sched | None -> t.sched
+  match t.carrier with Slots { sched; _ } -> Some sched | Bare | Arq _ -> None
 
 let record_latency t d =
   if d > t.stats.worst_latency then t.stats.worst_latency <- d
@@ -285,6 +279,14 @@ let loss_count t ~sender =
   fun () -> !r
 let reset_consecutive_losses t ~sender = counter t sender := 0
 
+(* High-water mark of the per-sender consecutive-loss counters: the
+   deepest feedback blackout any sender saw in the trial — the
+   certification level function's loss component. *)
+let bump t sender =
+  let c = counter t sender in
+  incr c;
+  if !c > t.stats.max_consec_losses then t.stats.max_consec_losses <- !c
+
 (* ------------------------------------------------------------------ *)
 (* `Adaptive mode: estimation, escalation and the safe-switch protocol *)
 (* ------------------------------------------------------------------ *)
@@ -294,15 +296,7 @@ let set_admit t f =
   | Some a -> a.a_admit <- Some f
   | None -> ()
 
-let tier t =
-  match t.adapt with Some a -> Some a.a_tier | None -> None
-
-let estimator t ~sender =
-  Option.bind t.adapt (fun a -> Hashtbl.find_opt a.a_est sender)
-
-let pooled_estimator t = Option.map (fun a -> a.a_pool) t.adapt
-
-(* Theorem-1 admission of a candidate mode. The emulation layer
+(* Theorem-1 admission of a candidate carrier. The emulation layer
    injects the real c1–c7 recheck ({!set_admit}); stand-alone, the
    configured budget is the bound; with neither, every candidate is
    admitted (the static create-time story then applies unchanged). *)
@@ -314,14 +308,6 @@ let adapt_admit a ~candidate_latency =
       | Some budget -> candidate_latency <= budget
       | None -> true)
 
-(* The outgoing mode's own worst-case latency — the quiesce deadline:
-   any exchange in flight at decision time resolves within it. *)
-let adapt_active_wcl a =
-  match (a.a_tier, a.a_sched) with
-  | Pte_adapt.Policy.Degraded, Some sched ->
-      Pte_sched.Schedule.worst_case_latency sched
-  | _ -> a.a_healthy_wcl
-
 let adapt_commit t a target ~at =
   (match a.a_pending_token with
   | Some token -> (
@@ -331,25 +317,20 @@ let adapt_commit t a target ~at =
   | None -> ());
   a.a_pending <- None;
   a.a_pending_token <- None;
+  t.carrier <- target;
   (match target with
-  | To_degraded sched ->
-      a.a_tier <- Pte_adapt.Policy.Degraded;
-      a.a_sched <- Some sched;
-      t.stats.switches_up <- t.stats.switches_up + 1
-  | To_healthy ->
-      a.a_tier <- Pte_adapt.Policy.Healthy;
-      a.a_sched <- None;
-      t.stats.switches_down <- t.stats.switches_down + 1);
+  | Slots _ -> t.stats.switches_up <- t.stats.switches_up + 1
+  | Bare | Arq _ -> t.stats.switches_down <- t.stats.switches_down + 1);
   a.a_switched_at <- at;
   a.a_samples_since <- 0
 
 (* A switch was admitted: commit at once if no exchange of the
-   outgoing mode is in flight, otherwise quiesce — commit when the
-   last in-flight exchange resolves, or at the outgoing mode's
+   outgoing carrier is in flight, otherwise quiesce — commit when the
+   last in-flight exchange resolves, or at the outgoing carrier's
    worst-case latency if some exchange outlives its own bound (it
    cannot, but the time-out keeps the protocol live regardless). A
-   drained `Scheduled exit is automatically round-aligned: the last
-   blind span ends at a slot boundary plus the resolution margin. *)
+   drained [Slots] exit is automatically round-aligned: the last blind
+   span ends at a slot boundary plus the resolution margin. *)
 let adapt_start_switch t a target ~at =
   if t.inflight_exchanges = 0 then adapt_commit t a target ~at
   else begin
@@ -357,7 +338,7 @@ let adapt_start_switch t a target ~at =
     match t.exec with
     | None -> adapt_commit t a target ~at
     | Some exec ->
-        let deadline = at +. adapt_active_wcl a in
+        let deadline = at +. latency_bound t in
         let token =
           Executor.schedule exec ~owner:"<adaptive-switch>" ~at:deadline
             (fun _exec ->
@@ -377,24 +358,31 @@ let adapt_refuse t a ~at =
   a.a_switched_at <- at
 
 let adapt_evaluate t a ~now =
-  if a.a_pending = None then
+  if Option.is_none a.a_pending then
     let estimate = Pte_adapt.Estimator.loss_estimate a.a_pool in
+    let tier =
+      match t.carrier with
+      | Slots _ -> Pte_adapt.Policy.Degraded
+      | Bare | Arq _ -> Pte_adapt.Policy.Healthy
+    in
     let decision =
-      Pte_adapt.Policy.decide a.a_cfg.policy ~tier:a.a_tier ~estimate
+      Pte_adapt.Policy.decide a.a_cfg.policy ~tier ~estimate
         ~samples:a.a_samples_since ~since_switch:(now -. a.a_switched_at)
         ~in_burst:(Pte_adapt.Estimator.in_burst a.a_pool)
     in
     match decision with
     | Pte_adapt.Policy.Stay -> ()
     | Pte_adapt.Policy.Deescalate ->
-        if adapt_admit a ~candidate_latency:a.a_healthy_wcl then
-          adapt_start_switch t a To_healthy ~at:now
+        if
+          adapt_admit a
+            ~candidate_latency:(carrier_bound t.star a.a_healthy)
+        then adapt_start_switch t a a.a_healthy ~at:now
         else adapt_refuse t a ~at:now
     | Pte_adapt.Policy.Escalate -> (
         (* re-synthesize the round schedule for the loss the channel is
            actually showing (capped below 1 so the retry count stays
-           finite); refuse — and stay in the current, still-admitted
-           mode — if the synthesis or the Theorem-1 recheck rejects *)
+           finite); refuse — and stay on the current, still-admitted
+           carrier — if the synthesis or the Theorem-1 recheck rejects *)
         let policy =
           { a.a_cfg.degraded with
             Pte_sched.Synth.loss = Float.min estimate 0.95 }
@@ -407,32 +395,23 @@ let adapt_evaluate t a ~now =
         | Ok sched ->
             let wcl = Pte_sched.Schedule.worst_case_latency sched in
             if adapt_admit a ~candidate_latency:wcl then
-              adapt_start_switch t a (To_degraded sched) ~at:now
+              adapt_start_switch t a (slots sched) ~at:now
             else adapt_refuse t a ~at:now)
 
-(* Feed the channel estimators one sample at the instant its outcome
+(* Feed the pooled estimator one sample at the instant its outcome
    becomes known to the sender. Samples are per *attempt*, not per
    exchange: an ARQ exchange that needed three tries records two losses
    and a success, and a blind span records every copy's fate — so the
    estimate tracks the channel itself, independent of how much
-   redundancy the current mode layers on top. (Exchange-level feeding
-   would see only the residual failure rate: ~2 % under ARQ on a 60 %
-   channel, masking the loss the degraded schedule must be synthesized
-   for — and, mirrored, a degraded mode whose spans almost always
+   redundancy the current carrier layers on top. (Exchange-level
+   feeding would see only the residual failure rate: ~2 % under ARQ on
+   a 60 % channel, masking the loss the degraded schedule must be
+   synthesized for — and, mirrored, slots whose spans almost always
    deliver would decay the estimate and de-escalate prematurely.) *)
-let adapt_outcome t ~sender ~confirmed ~at =
+let adapt_outcome t ~confirmed ~at =
   match t.adapt with
   | None -> ()
   | Some a ->
-      let est =
-        match Hashtbl.find_opt a.a_est sender with
-        | Some est -> est
-        | None ->
-            let est = Pte_adapt.Estimator.create a.a_cfg.estimator in
-            Hashtbl.add a.a_est sender est;
-            est
-      in
-      Pte_adapt.Estimator.record est ~confirmed ~at;
       Pte_adapt.Estimator.record a.a_pool ~confirmed ~at;
       a.a_samples_since <- a.a_samples_since + 1;
       adapt_evaluate t a ~now:at
@@ -448,46 +427,45 @@ let exchange_resolved t ~at =
       | None -> ())
   | _ -> ()
 
-(* High-water mark of the per-sender consecutive-loss counters: the
-   deepest feedback blackout any sender saw in the trial — the
-   certification level function's loss component. *)
-let bump t sender =
-  let c = counter t sender in
-  incr c;
-  if !c > t.stats.max_consec_losses then t.stats.max_consec_losses <- !c
+(* A send's outcome became known to [sender]: the consecutive-loss
+   counter moves, and with [sample] the outcome is also a channel
+   observation for the estimator. Admission rejections are no channel
+   observation, and a slotted span's copies were already sampled one by
+   one: the degraded-safe-mode watchdog stays at exchange granularity
+   either way — k consecutive *exchanges* lost, not k attempts. *)
+let outcome t sender ~confirmed ~sample ~at =
+  if confirmed then counter t sender := 0 else bump t sender;
+  if sample then adapt_outcome t ~confirmed ~at
 
-let confirm t sender ~at =
-  counter t sender := 0;
-  adapt_outcome t ~sender ~confirmed:true ~at
-
-let unconfirmed t sender ~at =
-  bump t sender;
-  adapt_outcome t ~sender ~confirmed:false ~at
-
-(* The consecutive-loss counters alone — for outcomes that are not
-   channel observations (admission rejections) or whose channel
-   evidence was already fed to the estimator copy by copy. The
-   degraded-safe-mode watchdog stays at exchange granularity either
-   way: k consecutive *exchanges* lost, not k attempts. *)
-let consec_confirm t sender = counter t sender := 0
-let consec_unconfirmed t sender = bump t sender
-
-let flow_seen t ~src ~dst =
-  match Hashtbl.find_opt t.seen (src, dst) with
-  | Some fs -> fs
+(* The flow of (src, dst), created — with its route through the star —
+   on the first send. *)
+let flow t ~sender ~receiver =
+  let key = (sender, receiver) in
+  match Hashtbl.find_opt t.flows key with
+  | Some f -> f
   | None ->
-      let fs = { high = -1; recent = [] } in
-      Hashtbl.add t.seen (src, dst) fs;
-      fs
+      let route =
+        if not (Star.is_node t.star sender && Star.is_node t.star receiver)
+        then Wired
+        else
+          match Star.link_for t.star ~sender ~receiver with
+          | None -> No_route
+          | Some link -> Radio link
+      in
+      let f =
+        { route; high = -1; recent = []; next_seq = 0; next_free = 0.0;
+          booked = 0 }
+      in
+      Hashtbl.add t.flows key f;
+      f
 
-(* First sighting of (src, dst, seq) at the receiver? Records it. A seq
-   at or below the flow's high-water mark is a replay by construction;
-   above it, [recent] disambiguates copies that arrive out of order
-   (overlapping exchanges). Seqs falling more than [dedup_window] behind
-   the newest are conservatively treated as replays, which bounds the
-   window: in-flight exchanges per flow never approach that span. *)
-let fresh t ~src ~dst ~seq =
-  let fs = flow_seen t ~src ~dst in
+(* First sighting of [seq] at the flow's receiver? Records it. A seq at
+   or below the high-water mark is a replay by construction; above it,
+   [recent] disambiguates copies that arrive out of order (overlapping
+   exchanges). Seqs falling more than [dedup_window] behind the newest
+   are conservatively treated as replays, which bounds the window:
+   in-flight exchanges per flow never approach that span. *)
+let fresh fs ~seq =
   if seq <= fs.high || List.mem seq fs.recent then false
   else begin
     fs.recent <- seq :: fs.recent;
@@ -503,48 +481,27 @@ let fresh t ~src ~dst ~seq =
     true
   end
 
-let flow_seq t ~src ~dst =
-  let r =
-    match Hashtbl.find_opt t.next_seq (src, dst) with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add t.next_seq (src, dst) r;
-        r
-  in
-  let q = !r in
-  incr r;
-  q
-
-type hop = Wired | No_route | Radio of Link.t
-
-let hop t ~sender ~receiver =
-  if not (Star.is_node t.star sender && Star.is_node t.star receiver) then
-    Wired
-  else
-    match Star.link_for t.star ~sender ~receiver with
-    | None ->
-        t.star.Star.remote_to_remote_dropped <-
-          t.star.Star.remote_to_remote_dropped + 1;
-        No_route
-    | Some link -> Radio link
-
 (* ------------------------------------------------------------------ *)
-(* `Bare mode: one attempt per send, no ACKs, no RNG draws, plus the
+(* [Bare]: one attempt per send, no ACKs, no RNG draws, plus the
    (src, seq) replay filter on injected duplicates.                    *)
 (* ------------------------------------------------------------------ *)
 
-let bare_send t link ~time ~sender ~receiver ~root =
+let bare_send t fs link ~time ~sender ~receiver ~root =
   t.stats.data_sends <- t.stats.data_sends + 1;
   match Link.send link ~time ~src:sender ~dst:receiver ~root with
   | Link.Drop _ ->
-      unconfirmed t sender ~at:time;
+      outcome t sender ~confirmed:false ~sample:true ~at:time;
       t.stats.gave_up <- t.stats.gave_up + 1;
       Executor.Lose
-  | Link.Deliver { arrival; packet } ->
-      confirm t sender ~at:time;
-      if fresh t ~src:sender ~dst:receiver ~seq:packet.Packet.seq then begin
+  | ( Link.Deliver { arrival; packet }
+    | Link.Deliver_dup { arrivals = arrival, _; packet } ) as verdict ->
+      (* an injected duplicate carries the same (src, seq): its replayed
+         copy is suppressed *)
+      let copies = match verdict with Link.Deliver_dup _ -> 2 | _ -> 1 in
+      outcome t sender ~confirmed:true ~sample:true ~at:time;
+      if fresh fs ~seq:packet.Packet.seq then begin
         t.stats.delivered <- t.stats.delivered + 1;
+        t.stats.dups_suppressed <- t.stats.dups_suppressed + copies - 1;
         record_latency t (arrival -. time);
         Executor.Deliver (arrival -. time)
       end
@@ -552,52 +509,48 @@ let bare_send t link ~time ~sender ~receiver ~root =
         (* cannot happen with per-link sequence numbers, but keep the
            filter total: a send whose only copy is suppressed is a lost
            send, not a delivered one *)
-        t.stats.dups_suppressed <- t.stats.dups_suppressed + 1;
-        t.stats.gave_up <- t.stats.gave_up + 1;
-        Executor.Lose
-      end
-  | Link.Deliver_dup { arrivals = a1, _; packet } ->
-      confirm t sender ~at:time;
-      if fresh t ~src:sender ~dst:receiver ~seq:packet.Packet.seq then begin
-        (* the replayed copy carries the same (src, seq): suppress it *)
-        t.stats.delivered <- t.stats.delivered + 1;
-        t.stats.dups_suppressed <- t.stats.dups_suppressed + 1;
-        record_latency t (a1 -. time);
-        Executor.Deliver (a1 -. time)
-      end
-      else begin
-        t.stats.dups_suppressed <- t.stats.dups_suppressed + 2;
+        t.stats.dups_suppressed <- t.stats.dups_suppressed + copies;
         t.stats.gave_up <- t.stats.gave_up + 1;
         Executor.Lose
       end
 
 (* ------------------------------------------------------------------ *)
-(* `Reliable mode: event-driven ARQ exchanges                          *)
+(* [Arq] and [Slots]: event-driven exchanges                           *)
 (* ------------------------------------------------------------------ *)
 
 let ack_root root = "ack:" ^ root
 
-(* One in-progress ARQ exchange. The sender side is a small state
-   machine driven by executor timers: every attempt arms the next
-   retransmission (or, after the last attempt, the give-up timeout);
-   an arriving ACK cancels the armed timer and resolves the exchange. *)
+(* The ARQ side of an exchange: a small state machine driven by
+   executor timers. Every attempt arms the next retransmission (or,
+   after the last attempt, the give-up timeout); an arriving ACK cancels
+   the armed timer and resolves the exchange. *)
+type arq = {
+  arq_cfg : config;
+  arq_ack : Link.t option;  (* the reverse link the ACKs ride *)
+  (* private jitter stream, keyed by (flow, seq): the backoff schedule
+     of an exchange is a function of the seed and its identity alone,
+     independent of how exchanges interleave on the timeline. *)
+  arq_rng : Pte_util.Rng.t;
+  mutable arq_timer : Executor.token option;
+  mutable arq_in_flight : int;  (* data copies in the air *)
+}
+
+(* One in-progress exchange: an ARQ exchange, or an admitted slotted
+   send. Both run on executor timers and share the receive and
+   resolution paths below. *)
 type exchange = {
-  ex_cfg : config;
+  ex_flow : flow;
   ex_link : Link.t;
-  ex_ack_link : Link.t option;
   ex_src : string;
   ex_dst : string;
   ex_root : string;
   ex_seq : int;
-  (* private jitter stream, keyed by (flow, seq): the backoff schedule
-     of an exchange is a function of the seed and its identity alone,
-     independent of how exchanges interleave on the timeline. *)
-  ex_rng : Pte_util.Rng.t;
   ex_sent_at : float;
-  mutable ex_timer : Executor.token option;
   mutable ex_arrived : bool;  (* a fresh copy reached the automaton *)
-  mutable ex_in_flight : int;  (* data copies in the air *)
   mutable ex_resolved : bool;  (* sender side: confirmed or gave up *)
+  ex_arq : arq option;
+      (* [None]: a slotted send — blind copies in consecutive rounds, no
+         feedback, resolved by its own span timer *)
 }
 
 let require_exec t =
@@ -608,94 +561,70 @@ let require_exec t =
         "Transport.router: `Reliable and `Scheduled modes need \
          Transport.attach before the first radio send"
 
-(* The ACK made it back: the sender learns the outcome, stands down the
-   pending retransmission (revoking it before the channel ever sees the
-   frame) and clears the consecutive-loss counter — at the instant the
-   confirmation actually arrives. *)
-let resolve_confirmed t ex exec ~at =
+let next_seq fs =
+  let seq = fs.next_seq in
+  fs.next_seq <- seq + 1;
+  seq
+
+let open_exchange t fs link ~time ~sender ~receiver ~root ~seq arq =
+  t.stats.data_sends <- t.stats.data_sends + 1;
+  t.inflight_exchanges <- t.inflight_exchanges + 1;
+  {
+    ex_flow = fs;
+    ex_link = link;
+    ex_src = sender;
+    ex_dst = receiver;
+    ex_root = root;
+    ex_seq = seq;
+    ex_sent_at = time;
+    ex_arrived = false;
+    ex_resolved = false;
+    ex_arq = arq;
+  }
+
+(* The sender learns how the exchange ended — at the instant it becomes
+   known: an ACK arrived, the ARQ retry budget ran out, or a slotted
+   span is over (there is no feedback channel, so "confirmed" is the
+   oracle view the simulation affords: a copy reached the receiver).
+   Confirmation stands down a pending retransmission, revoking it
+   before the channel ever sees the frame. A give-up is a feedback
+   loss; the send itself is lost only if no copy reached (or, under
+   ARQ, is still flying toward) the receiver. *)
+let settle t ex exec ~at ~confirmed =
   if not ex.ex_resolved then begin
     ex.ex_resolved <- true;
-    (match ex.ex_timer with
-    | Some token ->
+    (match ex.ex_arq with
+    | Some ({ arq_timer = Some token; _ } as a) ->
         Executor.cancel exec token;
-        ex.ex_timer <- None
-    | None -> ());
+        a.arq_timer <- None
+    | Some { arq_timer = None; _ } | None -> ());
     exchange_resolved t ~at;
-    confirm t ex.ex_src ~at;
-    observe t
-      (Exchange_confirmed { src = ex.ex_src; dst = ex.ex_dst; seq = ex.ex_seq; at })
+    outcome t ex.ex_src ~confirmed ~sample:(Option.is_some ex.ex_arq) ~at;
+    if confirmed then
+      observe t
+        (Exchange_confirmed
+           { src = ex.ex_src; dst = ex.ex_dst; seq = ex.ex_seq; at })
+    else begin
+      let in_flight =
+        match ex.ex_arq with Some a -> a.arq_in_flight | None -> 0
+      in
+      if (not ex.ex_arrived) && in_flight = 0 then begin
+        t.stats.gave_up <- t.stats.gave_up + 1;
+        Executor.lose_now exec ~receiver:ex.ex_dst ~root:ex.ex_root
+      end;
+      observe t
+        (Exchange_gave_up
+           { src = ex.ex_src; dst = ex.ex_dst; seq = ex.ex_seq; at })
+    end
   end
 
-(* The retry budget ran out without a confirmation: the sender counts a
-   feedback loss now — when it becomes known — not at the send instant.
-   Only if no copy reached (or is still flying toward) the receiver is
-   the send itself lost. *)
-let resolve_gave_up t ex exec ~at =
-  if not ex.ex_resolved then begin
-    ex.ex_resolved <- true;
-    ex.ex_timer <- None;
-    exchange_resolved t ~at;
-    unconfirmed t ex.ex_src ~at;
-    if (not ex.ex_arrived) && ex.ex_in_flight = 0 then begin
-      t.stats.gave_up <- t.stats.gave_up + 1;
-      Executor.lose_now exec ~receiver:ex.ex_dst ~root:ex.ex_root
-    end;
-    observe t
-      (Exchange_gave_up { src = ex.ex_src; dst = ex.ex_dst; seq = ex.ex_seq; at })
-  end
-
-let rec send_attempt t ex exec ~at ~attempt =
-  if attempt > 0 then
-    t.stats.retransmissions <- t.stats.retransmissions + 1;
-  (match
-     Link.send ex.ex_link ~time:at ~src:ex.ex_src ~dst:ex.ex_dst
-       ~root:ex.ex_root
-   with
-  | Link.Drop _ -> ()
-  | Link.Deliver { arrival; packet = _ } -> schedule_copy t ex exec ~arrival
-  | Link.Deliver_dup { arrivals = a1, a2; packet = _ } ->
-      (* an injected duplicate: both copies fly; the replay is squashed
-         at the receiver by (src, seq) *)
-      schedule_copy t ex exec ~arrival:a1;
-      schedule_copy t ex exec ~arrival:a2);
-  (* Arm the timer that drives the rest of the exchange: the next
-     retransmission, or — after the final attempt — the give-up
-     timeout. Nominal times accumulate [at +. wait] so the schedule
-     (and hence {!worst_case_latency}) is independent of the step
-     quantization at which timers actually fire. *)
-  let wait =
-    rto ex.ex_cfg ~attempt
-    +. Pte_util.Rng.uniform ex.ex_rng ~lo:0.0 ~hi:ex.ex_cfg.jitter
-  in
-  let due = at +. wait in
-  let token =
-    Executor.schedule exec ~owner:ex.ex_src ~at:due (fun exec ->
-        ex.ex_timer <- None;
-        if not ex.ex_resolved then
-          if attempt < ex.ex_cfg.max_retries then begin
-            (* this timer firing means the attempt went unacknowledged:
-               a per-attempt loss sample for the channel estimator (the
-               exchange itself is still live, so the watchdog counter
-               does not move) *)
-            adapt_outcome t ~sender:ex.ex_src ~confirmed:false ~at:due;
-            send_attempt t ex exec ~at:due ~attempt:(attempt + 1)
-          end
-          else resolve_gave_up t ex exec ~at:due)
-  in
-  ex.ex_timer <- Some token
-
-and schedule_copy t ex exec ~arrival =
-  ex.ex_in_flight <- ex.ex_in_flight + 1;
-  ignore
-    (Executor.schedule exec ~owner:ex.ex_dst ~at:arrival (fun exec ->
-         receive t ex exec ~arrival))
-
-(* A data copy reaches the receiver: dedup by the end-to-end seq, hand
-   the first fresh copy to the automaton, and acknowledge every copy on
-   the reverse link (the previous ACK may be the one that got lost). *)
-and receive t ex exec ~arrival =
-  ex.ex_in_flight <- ex.ex_in_flight - 1;
-  if fresh t ~src:ex.ex_src ~dst:ex.ex_dst ~seq:ex.ex_seq then begin
+(* A data copy reaches the receiver: dedup by the exchange seq, and hand
+   the first fresh copy to the automaton. Under ARQ, every copy is
+   acknowledged on the reverse link (the previous ACK may be the one
+   that got lost). *)
+let receive t ex exec ~arrival =
+  Option.iter (fun a -> a.arq_in_flight <- a.arq_in_flight - 1) ex.ex_arq;
+  if fresh ex.ex_flow ~seq:ex.ex_seq then begin
     ex.ex_arrived <- true;
     t.stats.delivered <- t.stats.delivered + 1;
     record_latency t (arrival -. ex.ex_sent_at);
@@ -706,83 +635,115 @@ and receive t ex exec ~arrival =
            sent_at = ex.ex_sent_at; arrival })
   end
   else t.stats.dups_suppressed <- t.stats.dups_suppressed + 1;
-  t.stats.acks_sent <- t.stats.acks_sent + 1;
-  match ex.ex_ack_link with
-  | None ->
-      (* no radio reverse path: treat the ACK as wired *)
-      resolve_confirmed t ex exec ~at:arrival
-  | Some back -> (
-      match
-        Link.send back ~time:arrival ~src:ex.ex_dst ~dst:ex.ex_src
-          ~root:(ack_root ex.ex_root)
-      with
-      | Link.Drop _ -> t.stats.acks_lost <- t.stats.acks_lost + 1
-      | Link.Deliver { arrival = ack_at; packet = _ }
-      | Link.Deliver_dup { arrivals = ack_at, _; packet = _ } ->
-          ignore
-            (Executor.schedule exec ~owner:ex.ex_src ~at:ack_at (fun exec ->
-                 resolve_confirmed t ex exec ~at:ack_at)))
+  match ex.ex_arq with
+  | None -> ()
+  | Some a -> (
+      t.stats.acks_sent <- t.stats.acks_sent + 1;
+      match a.arq_ack with
+      | None ->
+          (* no radio reverse path: treat the ACK as wired *)
+          settle t ex exec ~at:arrival ~confirmed:true
+      | Some back -> (
+          match
+            Link.send back ~time:arrival ~src:ex.ex_dst ~dst:ex.ex_src
+              ~root:(ack_root ex.ex_root)
+          with
+          | Link.Drop _ -> t.stats.acks_lost <- t.stats.acks_lost + 1
+          | Link.Deliver { arrival = ack_at; packet = _ }
+          | Link.Deliver_dup { arrivals = ack_at, _; packet = _ } ->
+              ignore
+                (Executor.schedule exec ~owner:ex.ex_src ~at:ack_at
+                   (fun exec -> settle t ex exec ~at:ack_at ~confirmed:true))))
 
-let reliable_send t cfg link ~time ~sender ~receiver ~root =
+let land_copy t ex exec ~arrival =
+  Option.iter (fun a -> a.arq_in_flight <- a.arq_in_flight + 1) ex.ex_arq;
+  ignore
+    (Executor.schedule exec ~owner:ex.ex_dst ~at:arrival (fun exec ->
+         receive t ex exec ~arrival))
+
+(* One copy of the exchange hits the channel. Each slotted copy's fate
+   is one estimator sample at the send (the oracle view, as under the
+   [Bare] carrier), so the estimate keeps tracking the channel while
+   the span-level residual failure rate sits near zero; ARQ samples
+   when an attempt's timer expires unacknowledged. An injected
+   duplicate flies as two copies; the replay is squashed at the
+   receiver by (src, seq). *)
+let transmit t ex exec ~at ~attempt =
+  if attempt > 0 then t.stats.retransmissions <- t.stats.retransmissions + 1;
+  let verdict =
+    Link.send ex.ex_link ~time:at ~src:ex.ex_src ~dst:ex.ex_dst
+      ~root:ex.ex_root
+  in
+  if Option.is_none ex.ex_arq then
+    adapt_outcome t
+      ~confirmed:(match verdict with Link.Drop _ -> false | _ -> true)
+      ~at;
+  match verdict with
+  | Link.Drop _ -> ()
+  | Link.Deliver { arrival; packet = _ } -> land_copy t ex exec ~arrival
+  | Link.Deliver_dup { arrivals = a1, a2; packet = _ } ->
+      land_copy t ex exec ~arrival:a1;
+      land_copy t ex exec ~arrival:a2
+
+(* An ARQ attempt, then the timer that drives the rest of the exchange:
+   the next retransmission, or — after the final attempt — the give-up
+   timeout. Nominal times accumulate [at +. wait] so the schedule (and
+   hence {!worst_case_latency}) is independent of the step quantization
+   at which timers actually fire. *)
+let rec send_attempt t ex a exec ~at ~attempt =
+  transmit t ex exec ~at ~attempt;
+  let wait =
+    rto a.arq_cfg ~attempt
+    +. Pte_util.Rng.uniform a.arq_rng ~lo:0.0 ~hi:a.arq_cfg.jitter
+  in
+  let due = at +. wait in
+  let token =
+    Executor.schedule exec ~owner:ex.ex_src ~at:due (fun exec ->
+        a.arq_timer <- None;
+        if not ex.ex_resolved then
+          if attempt < a.arq_cfg.max_retries then begin
+            (* this timer firing means the attempt went unacknowledged:
+               a per-attempt loss sample for the channel estimator (the
+               exchange itself is still live, so the watchdog counter
+               does not move) *)
+            adapt_outcome t ~confirmed:false ~at:due;
+            send_attempt t ex a exec ~at:due ~attempt:(attempt + 1)
+          end
+          else settle t ex exec ~at:due ~confirmed:false)
+  in
+  a.arq_timer <- Some token
+
+let arq_send t cfg fs link ~time ~sender ~receiver ~root =
   let exec = require_exec t in
-  t.stats.data_sends <- t.stats.data_sends + 1;
-  t.inflight_exchanges <- t.inflight_exchanges + 1;
-  let seq = flow_seq t ~src:sender ~dst:receiver in
-  let ex =
+  let seq = next_seq fs in
+  let a =
     {
-      ex_cfg = cfg;
-      ex_link = link;
-      ex_ack_link = Star.link_for t.star ~sender:receiver ~receiver:sender;
-      ex_src = sender;
-      ex_dst = receiver;
-      ex_root = root;
-      ex_seq = seq;
-      ex_rng =
+      arq_cfg = cfg;
+      arq_ack = Star.link_for t.star ~sender:receiver ~receiver:sender;
+      arq_rng =
         Pte_util.Rng.keyed t.rng
           ~key:(Int64.of_int (Hashtbl.hash (sender, receiver, seq)));
-      ex_sent_at = time;
-      ex_timer = None;
-      ex_arrived = false;
-      ex_in_flight = 0;
-      ex_resolved = false;
+      arq_timer = None;
+      arq_in_flight = 0;
     }
   in
-  send_attempt t ex exec ~at:time ~attempt:0;
+  let ex =
+    open_exchange t fs link ~time ~sender ~receiver ~root ~seq (Some a)
+  in
+  send_attempt t ex a exec ~at:time ~attempt:0;
   Executor.Deferred
-
-(* ------------------------------------------------------------------ *)
-(* `Scheduled mode: time-triggered blind transmission (TTW-style)      *)
-(* ------------------------------------------------------------------ *)
 
 module Schedule = Pte_sched.Schedule
 
-(* The cached index of the live schedule, rebuilt when the schedule
-   value changes (adaptive escalation synthesizes a fresh one). *)
-let sched_index t sched =
-  match t.sched_index with
-  | Some (s, idx) when s == sched -> idx
-  | _ ->
-      let idx = Schedule.index sched in
-      t.sched_index <- Some (sched, idx);
-      idx
-
-let sched_link_state t ~sender ~receiver =
-  match Hashtbl.find_opt t.sched_links (sender, receiver) with
-  | Some st -> st
-  | None ->
-      let st = { next_free = 0.0; inflight = 0 } in
-      Hashtbl.add t.sched_links (sender, receiver) st;
-      st
-
-(* One admitted time-triggered send. All timers are armed up front at
-   admission: the [1 + retries] blind copies hit the channel at the
+(* One time-triggered send (TTW-style). All timers are armed up front
+   at admission: the [1 + retries] blind copies hit the channel at the
    link's slot start in consecutive rounds (no ACKs, no cancellation —
    the channel decides per copy), and one resolution timer fires
    strictly after the last copy can land ([2 *. slot_len] past the last
    slot start; arrivals stay within one [slot_len] of their slot start
    because synthesis forces [slot_len >= worst frame delay]).
 
-   Admission control makes the latency bound closed-form: the link
+   Admission control makes the latency bound closed-form: the flow
    keeps [next_free], the end of the last reservation's span, and books
    each new send at the first slot after [max time next_free]; at most
    [depth] sends may hold reservations at once, later ones are rejected
@@ -792,133 +753,44 @@ let sched_link_state t ~sender ~receiver =
    [next_free' <= time + (j + 1) * ((retries + 1) * period + slot_len)],
    and its last copy lands by [next_free'] — which is exactly
    {!Schedule.link_worst_case_latency} at [j = depth - 1]. *)
-type sched_send = {
-  ss_link : Link.t;
-  ss_src : string;
-  ss_dst : string;
-  ss_root : string;
-  ss_seq : int;
-  ss_sent_at : float;
-  mutable ss_arrived : bool;  (* a fresh copy reached the automaton *)
-}
-
-let sched_receive t ss exec ~arrival =
-  if fresh t ~src:ss.ss_src ~dst:ss.ss_dst ~seq:ss.ss_seq then begin
-    ss.ss_arrived <- true;
-    t.stats.delivered <- t.stats.delivered + 1;
-    record_latency t (arrival -. ss.ss_sent_at);
-    ignore (Executor.deliver_now exec ~receiver:ss.ss_dst ~root:ss.ss_root);
-    observe t
-      (Exchange_delivered
-         { src = ss.ss_src; dst = ss.ss_dst; seq = ss.ss_seq;
-           sent_at = ss.ss_sent_at; arrival })
-  end
-  else t.stats.dups_suppressed <- t.stats.dups_suppressed + 1
-
-(* Each blind copy's fate is one estimator sample (the oracle view the
-   simulation affords — the same instant-of-knowledge convention `Bare
-   mode uses at the send), so the estimate keeps tracking the channel
-   while the span-level residual failure rate sits near zero. *)
-let sched_copy t ss exec ~at ~copy =
-  if copy > 0 then t.stats.retransmissions <- t.stats.retransmissions + 1;
-  match
-    Link.send ss.ss_link ~time:at ~src:ss.ss_src ~dst:ss.ss_dst
-      ~root:ss.ss_root
-  with
-  | Link.Drop _ -> adapt_outcome t ~sender:ss.ss_src ~confirmed:false ~at
-  | Link.Deliver { arrival; packet = _ } ->
-      adapt_outcome t ~sender:ss.ss_src ~confirmed:true ~at;
-      ignore
-        (Executor.schedule exec ~owner:ss.ss_dst ~at:arrival (fun exec ->
-             sched_receive t ss exec ~arrival))
-  | Link.Deliver_dup { arrivals = a1, a2; packet = _ } ->
-      (* an injected duplicate: both copies fly; the replay is squashed
-         at the receiver by (src, seq) *)
-      adapt_outcome t ~sender:ss.ss_src ~confirmed:true ~at;
-      List.iter
-        (fun arrival ->
-          ignore
-            (Executor.schedule exec ~owner:ss.ss_dst ~at:arrival (fun exec ->
-                 sched_receive t ss exec ~arrival)))
-        [ a1; a2 ]
-
-(* The blind span is over: the sender learns the outcome. There is no
-   feedback channel, so "confirmed" is the oracle view the simulation
-   affords (a copy reached the receiver) — the same instant-of-knowledge
-   convention `Bare mode uses at the send. *)
-let sched_resolve t ss st exec ~at =
-  st.inflight <- st.inflight - 1;
-  exchange_resolved t ~at;
-  (* the copies already fed the estimator one sample each from
-     [sched_copy]; the span outcome moves only the watchdog counter *)
-  if ss.ss_arrived then begin
-    consec_confirm t ss.ss_src;
-    observe t
-      (Exchange_confirmed
-         { src = ss.ss_src; dst = ss.ss_dst; seq = ss.ss_seq; at })
-  end
-  else begin
-    consec_unconfirmed t ss.ss_src;
-    t.stats.gave_up <- t.stats.gave_up + 1;
-    Executor.lose_now exec ~receiver:ss.ss_dst ~root:ss.ss_root;
-    observe t
-      (Exchange_gave_up
-         { src = ss.ss_src; dst = ss.ss_dst; seq = ss.ss_seq; at })
-  end
-
-let scheduled_send t sched link ~time ~sender ~receiver ~root =
+let slotted_send t sched index fs link ~time ~sender ~receiver ~root =
   let exec = require_exec t in
-  t.stats.data_sends <- t.stats.data_sends + 1;
-  match Schedule.find_indexed (sched_index t sched) ~src:sender ~dst:receiver with
-  | None ->
-      (* every star link is scheduled at synthesis; unreachable unless
-         the topology grew after creation — fail as a plain loss *)
-      consec_unconfirmed t sender;
+  match Schedule.find_indexed index ~src:sender ~dst:receiver with
+  | Some entry when fs.booked < sched.Schedule.depth ->
+      fs.booked <- fs.booked + 1;
+      let ex =
+        open_exchange t fs link ~time ~sender ~receiver ~root
+          ~seq:(next_seq fs) None
+      in
+      let period = Schedule.period sched in
+      let first =
+        Schedule.slot_start sched entry ~after:(Float.max time fs.next_free)
+      in
+      let span = Float.of_int entry.Schedule.retries *. period in
+      fs.next_free <- first +. span +. sched.Schedule.slot_len;
+      for copy = 0 to entry.Schedule.retries do
+        let at = first +. (Float.of_int copy *. period) in
+        ignore
+          (Executor.schedule exec ~owner:sender ~at (fun exec ->
+               transmit t ex exec ~at ~attempt:copy))
+      done;
+      let resolve_at = first +. span +. (2.0 *. sched.Schedule.slot_len) in
+      ignore
+        (Executor.schedule exec ~owner:sender ~at:resolve_at (fun exec ->
+             fs.booked <- fs.booked - 1;
+             settle t ex exec ~at:resolve_at ~confirmed:ex.ex_arrived));
+      Executor.Deferred
+  | Some _ | None ->
+      (* the admission bound is hit — rejecting now is what keeps the
+         latency bound sound for the sends already holding reservations
+         — or the link is unscheduled (every star link is scheduled at
+         synthesis, so only a topology grown after creation): a plain
+         loss, and no estimator sample, since neither says anything
+         about the channel *)
+      t.stats.data_sends <- t.stats.data_sends + 1;
+      bump t sender;
       t.stats.gave_up <- t.stats.gave_up + 1;
       Executor.Lose
-  | Some entry ->
-      let st = sched_link_state t ~sender ~receiver in
-      if st.inflight >= sched.Schedule.depth then begin
-        (* admission bound hit: rejecting now is what keeps the latency
-           bound sound for the sends already holding reservations; no
-           estimator sample — a full queue says nothing about the
-           channel *)
-        consec_unconfirmed t sender;
-        t.stats.gave_up <- t.stats.gave_up + 1;
-        Executor.Lose
-      end
-      else begin
-        st.inflight <- st.inflight + 1;
-        t.inflight_exchanges <- t.inflight_exchanges + 1;
-        let period = Schedule.period sched in
-        let first =
-          Schedule.slot_start sched entry ~after:(Float.max time st.next_free)
-        in
-        let span = (Float.of_int entry.Schedule.retries *. period) in
-        st.next_free <- first +. span +. sched.Schedule.slot_len;
-        let ss =
-          {
-            ss_link = link;
-            ss_src = sender;
-            ss_dst = receiver;
-            ss_root = root;
-            ss_seq = flow_seq t ~src:sender ~dst:receiver;
-            ss_sent_at = time;
-            ss_arrived = false;
-          }
-        in
-        for copy = 0 to entry.Schedule.retries do
-          let at = first +. (Float.of_int copy *. period) in
-          ignore
-            (Executor.schedule exec ~owner:sender ~at (fun exec ->
-                 sched_copy t ss exec ~at ~copy))
-        done;
-        let resolve_at = first +. span +. (2.0 *. sched.Schedule.slot_len) in
-        ignore
-          (Executor.schedule exec ~owner:sender ~at:resolve_at (fun exec ->
-               sched_resolve t ss st exec ~at:resolve_at));
-        Executor.Deferred
-      end
 
 (* ------------------------------------------------------------------ *)
 (* The executor hook                                                   *)
@@ -926,39 +798,19 @@ let scheduled_send t sched link ~time ~sender ~receiver ~root =
 
 let router t : Executor.router =
  fun ~time ~sender ~root ~receiver ->
-  match hop t ~sender ~receiver with
+  let fs = flow t ~sender ~receiver in
+  match fs.route with
   | Wired -> Executor.Deliver 0.0
-  | No_route -> Executor.Lose
+  | No_route ->
+      t.star.Star.remote_to_remote_dropped <-
+        t.star.Star.remote_to_remote_dropped + 1;
+      Executor.Lose
   | Radio link -> (
-      match t.mode with
-      | `Bare -> bare_send t link ~time ~sender ~receiver ~root
-      | `Reliable cfg -> reliable_send t cfg link ~time ~sender ~receiver ~root
-      | `Scheduled _ ->
-          let sched =
-            match t.sched with
-            | Some sched -> sched
-            | None -> assert false (* synthesized in create *)
-          in
-          scheduled_send t sched link ~time ~sender ~receiver ~root
-      | `Adaptive _ -> (
-          let a =
-            match t.adapt with
-            | Some a -> a
-            | None -> assert false (* constructed in create *)
-          in
-          match a.a_tier with
-          | Pte_adapt.Policy.Healthy -> (
-              match a.a_cfg.healthy with
-              | `Bare -> bare_send t link ~time ~sender ~receiver ~root
-              | `Reliable cfg ->
-                  reliable_send t cfg link ~time ~sender ~receiver ~root)
-          | Pte_adapt.Policy.Degraded ->
-              let sched =
-                match a.a_sched with
-                | Some sched -> sched
-                | None -> assert false (* set by adapt_commit *)
-              in
-              scheduled_send t sched link ~time ~sender ~receiver ~root))
+      match t.carrier with
+      | Bare -> bare_send t fs link ~time ~sender ~receiver ~root
+      | Arq cfg -> arq_send t cfg fs link ~time ~sender ~receiver ~root
+      | Slots { sched; index } ->
+          slotted_send t sched index fs link ~time ~sender ~receiver ~root)
 
 (* ------------------------------------------------------------------ *)
 (* CLI spec parsing                                                    *)

@@ -1,16 +1,25 @@
-(** Per-endpoint reliable-delivery transport over the {!Star} links:
-    sequence-numbered sends, receiver ACKs on the reverse link, bounded
-    retransmission with exponential backoff + jitter, and receiver-side
-    duplicate suppression by (src, seq).
+(** Per-endpoint transport over the {!Star} links: sequence-numbered
+    sends, receiver ACKs on the reverse link, bounded retransmission
+    with exponential backoff + jitter, time-triggered slot schedules,
+    and receiver-side duplicate suppression by (src, seq).
 
-    The transport plugs into the executor as its {!Pte_hybrid.Executor.router}.
-    In [`Bare] mode it makes one attempt per send, with no ACKs and no
-    RNG consumption; replayed frames (an injected [Duplicate_frame]) are
-    suppressed at the receiver, so the automaton is handed each
-    (src, seq) at most once. In
-    [`Reliable _] mode every radio send becomes an ARQ exchange: the
-    sender retransmits on a backoff schedule until an ACK comes back or
-    the retry budget is exhausted.
+    The transport plugs into the executor as its
+    {!Pte_hybrid.Executor.router}. One mutable {e carrier} answers "how
+    does the next radio send go?":
+    - {e bare}: one attempt per send, no ACKs and no RNG consumption;
+      replayed frames (an injected [Duplicate_frame]) are suppressed at
+      the receiver, so the automaton is handed each (src, seq) at most
+      once;
+    - {e ARQ}: the send becomes an exchange whose sender retransmits on
+      a backoff schedule until an ACK comes back or the retry budget is
+      exhausted;
+    - {e slots}: the send is admitted into a synthesized round schedule
+      and blindly transmits its copies in its link's slots.
+    The static modes fix the carrier at {!create} ([`Bare], [`Reliable],
+    [`Scheduled]); [`Adaptive] starts on its healthy carrier and its
+    safe-switch protocol only swaps the carrier, to slots while the
+    channel is degraded and back. ARQ and slotted sends are one kind of
+    exchange, with one receive, deliver and give-up path.
 
     Exchanges are simulated {e event-driven}: the router answers
     [Deferred] and runs each exchange as a state machine on the
@@ -28,18 +37,18 @@
     degraded-safe-mode actually observes. Each exchange draws its
     backoff jitter from a private stream keyed by (flow, seq)
     ({!Pte_util.Rng.keyed}), so behaviour per seed is independent of how
-    exchanges interleave; [`Bare] mode draws nothing and stays
+    exchanges interleave; the bare carrier draws nothing and stays
     byte-identical to the legacy streams.
 
-    {!worst_case_latency} is unchanged by the event-driven rewrite and
-    stays the binding closed-form bound on the delivery delay of any
-    successful send: attempt [k] is sent at the nominal schedule time
-    [sum_(j<k) (rto j + jitter_j)] after the emission (timers carry
+    Every carrier has one closed-form bound on the delivery delay of
+    any successful send ({!latency_bound}). For ARQ it is
+    {!worst_case_latency}: attempt [k] is sent at the nominal schedule
+    time [sum_(j<k) (rto j + jitter_j)] after the emission (timers carry
     nominal due times, so step quantization does not accumulate), and
     the winning copy adds at most one frame delay. Callers feed the
     bound into the Theorem-1 constraint recheck
-    ({!Pte_core.Constraints.satisfies_with_delay}) exactly as before, so
-    the availability win remains provably safety-preserving. *)
+    ({!Pte_core.Constraints.satisfies_with_delay}), so the availability
+    win remains provably safety-preserving. *)
 
 (** Retransmission policy. Attempt [k] (0-based) is followed, if
     unacknowledged, by a wait of
@@ -211,13 +220,17 @@ val attach : t -> Pte_hybrid.Executor.t -> unit
 val mode : t -> mode
 val stats : t -> stats
 
+val latency_bound : t -> float
+(** The closed-form worst-case delivery latency of the live carrier:
+    {!Star.worst_frame_delay} for a bare carrier, {!worst_case_latency}
+    for ARQ, {!Pte_sched.Schedule.worst_case_latency} for slots. The
+    bound callers feed into the Theorem-1 recheck. *)
+
 val schedule : t -> Pte_sched.Schedule.t option
-(** The concrete round schedule synthesized at {!create} —
-    [Some _] exactly in [`Scheduled] mode. Its
-    {!Pte_sched.Schedule.worst_case_latency} is the bound callers feed
-    into the Theorem-1 recheck, in place of {!worst_case_latency}. In
-    [`Adaptive] mode, the schedule the safe-switch protocol last
-    committed — [Some _] exactly while degraded. *)
+(** The round schedule of the live carrier: [Some _] exactly while the
+    carrier is slots — always in [`Scheduled] mode (synthesized at
+    {!create}), and in [`Adaptive] mode while degraded (the schedule
+    the safe-switch protocol last committed). *)
 
 (** {2 Adaptive mode} *)
 
@@ -231,25 +244,13 @@ val set_admit : t -> (candidate_latency:float -> bool) -> unit
     configured [budget] bounds admission; with neither, every
     candidate is admitted. No-op outside [`Adaptive] mode. *)
 
-val tier : t -> Pte_adapt.Policy.tier option
-(** The current tier — [Some _] exactly in [`Adaptive] mode. *)
-
-val estimator : t -> sender:string -> Pte_adapt.Estimator.t option
-(** The per-sender channel-health estimator ([`Adaptive] mode; [None]
-    until [sender]'s first resolved exchange). *)
-
-val pooled_estimator : t -> Pte_adapt.Estimator.t option
-(** The pooled estimator that drives tier decisions — the star shares
-    one interference environment, so outcomes from every sender inform
-    the switch. [Some _] exactly in [`Adaptive] mode. *)
-
 val router : t -> Pte_hybrid.Executor.router
 (** The executor transport hook — the one routing path from the star
     to the executor. Non-star automata stay wired (delivered at once);
     remote-to-remote sends are dropped and counted in
-    [Star.remote_to_remote_dropped]. In [`Reliable _] mode radio sends answer
-    [Deferred] and run event-driven (see above); raises
-    [Invalid_argument] if {!attach} has not been called. *)
+    [Star.remote_to_remote_dropped]. Under the ARQ and slots carriers
+    radio sends answer [Deferred] and run event-driven (see above);
+    raises [Invalid_argument] if {!attach} has not been called. *)
 
 (** {2 Exchange observation}
 

@@ -3,47 +3,33 @@
     diffed outside OCaml. *)
 
 open Pte_hybrid
-
-let escape_json s =
-  let buffer = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+module Json = Pte_util.Json
 
 let json_of_event = function
   | Trace.Enter_location { automaton; location } ->
       Printf.sprintf {|"kind":"enter","automaton":"%s","location":"%s"|}
-        (escape_json automaton) (escape_json location)
+        (Json.escape automaton) (Json.escape location)
   | Trace.Transition { automaton; src; dst; label; forced } ->
       Printf.sprintf
         {|"kind":"transition","automaton":"%s","src":"%s","dst":"%s","label":"%s","forced":%b|}
-        (escape_json automaton) (escape_json src) (escape_json dst)
-        (escape_json
+        (Json.escape automaton) (Json.escape src) (Json.escape dst)
+        (Json.escape
            (match label with None -> "" | Some l -> Fmt.str "%a" Label.pp l))
         forced
   | Trace.Message_sent { sender; root } ->
       Printf.sprintf {|"kind":"sent","sender":"%s","root":"%s"|}
-        (escape_json sender) (escape_json root)
+        (Json.escape sender) (Json.escape root)
   | Trace.Message_delivered { receiver; root; consumed } ->
       Printf.sprintf
         {|"kind":"delivered","receiver":"%s","root":"%s","consumed":%b|}
-        (escape_json receiver) (escape_json root) consumed
+        (Json.escape receiver) (Json.escape root) consumed
   | Trace.Message_lost { receiver; root } ->
       Printf.sprintf {|"kind":"lost","receiver":"%s","root":"%s"|}
-        (escape_json receiver) (escape_json root)
+        (Json.escape receiver) (Json.escape root)
   | Trace.Sample { automaton; var; value } ->
       Printf.sprintf {|"kind":"sample","automaton":"%s","var":"%s","value":%g|}
-        (escape_json automaton) (escape_json var) value
-  | Trace.Note s -> Printf.sprintf {|"kind":"note","text":"%s"|} (escape_json s)
+        (Json.escape automaton) (Json.escape var) value
+  | Trace.Note s -> Printf.sprintf {|"kind":"note","text":"%s"|} (Json.escape s)
 
 (** One JSON object per line: [{"time":..., "kind":..., ...}]. *)
 let to_jsonl trace =

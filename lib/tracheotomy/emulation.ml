@@ -112,104 +112,67 @@ let build (config : config) =
       ~remotes:[ ventilator_name; laser_name ]
       ~loss_kind ~mac_retries:config.mac_retries ~rng ()
   in
-  (* A non-bare transport is only admissible when Theorem 1 survives
-     its worst-case latency: recheck c1–c7 with the mode's closed-form
-     bound added to the message-delay terms. *)
-  let recheck_theorem1 ~what budget =
-    let outcomes =
-      Pte_core.Constraints.check_with_delay params ~delay:budget
-    in
+  (* an unset synthesis budget means "whatever Theorem 1 affords": fill
+     it here, where the parameters are known, so the synthesizer itself
+     enforces the bound (at create and at every adaptive escalation) *)
+  let fill budget (policy : Pte_sched.Synth.policy) =
+    match policy.budget with
+    | Some _ -> policy
+    | None -> { policy with budget = Some budget }
+  in
+  let config =
+    match config.transport with
+    | `Bare | `Reliable _ -> config
+    | `Scheduled policy ->
+        let budget = Pte_core.Constraints.max_delay_budget params in
+        { config with transport = `Scheduled (fill budget policy) }
+    | `Adaptive acfg ->
+        let open Pte_net.Transport in
+        let budget = Pte_core.Constraints.max_delay_budget params in
+        { config with
+          transport =
+            `Adaptive
+              { acfg with
+                degraded = fill budget acfg.degraded;
+                budget = Some (Option.value acfg.budget ~default:budget) } }
+  in
+  let exec_config = { Executor.default_config with dt = config.dt } in
+  let engine =
+    try
+      Pte_sim.Engine.create ~config:exec_config ~net
+        ~transport:config.transport ~seed:(config.seed + 1) system
+    with Invalid_argument msg -> invalid_arg ("Emulation.build: " ^ msg)
+  in
+  let transport =
+    match Pte_sim.Engine.transport engine with
+    | Some t -> t
+    | None -> assert false (* the engine always gets ~net here *)
+  in
+  (* A non-bare carrier is only admissible when Theorem 1 survives its
+     worst-case latency: recheck c1–c7 with the bound of the carrier the
+     transport starts on added to the message-delay terms. The schedule
+     budget is a bisection estimate, so the concrete schedule is
+     rechecked too: soundness never rests on the estimate alone.
+     Adaptive escalation candidates are rechecked at switch time by the
+     admission callback installed below. *)
+  let recheck what =
+    let delay = Pte_net.Transport.latency_bound transport in
+    let outcomes = Pte_core.Constraints.check_with_delay params ~delay in
     if not (Pte_core.Constraints.all_ok outcomes) then
       invalid_arg
         (Fmt.str
            "Emulation.build: %s (worst-case latency %.3f s) breaks Theorem \
             1: %s"
-           what budget
+           what delay
            (String.concat ", "
               (List.map Pte_core.Constraints.condition_name
                  (Pte_core.Constraints.violated outcomes))))
   in
-  let config =
-    match config.transport with
-    | `Bare -> config
-    | `Reliable tcfg ->
-        (match Pte_net.Transport.validate tcfg with
-        | Ok () -> ()
-        | Error msg -> invalid_arg ("Emulation.build: " ^ msg));
-        recheck_theorem1 ~what:"transport retry budget"
-          (Pte_net.Transport.worst_case_latency tcfg
-             ~frame_delay:(Pte_net.Star.worst_frame_delay net));
-        config
-    | `Scheduled policy ->
-        (* an unset synthesis budget means "whatever Theorem 1 affords":
-           fill it here, where the parameters are known, so the
-           synthesizer itself enforces the bound *)
-        let policy =
-          match policy.Pte_sched.Synth.budget with
-          | Some _ -> policy
-          | None ->
-              {
-                policy with
-                Pte_sched.Synth.budget =
-                  Some (Pte_core.Constraints.max_delay_budget params);
-              }
-        in
-        let sched =
-          match
-            Pte_sched.Synth.synthesize policy
-              ~links:(Pte_net.Star.schedule_links net)
-          with
-          | Ok sched -> sched
-          | Error e ->
-              invalid_arg
-                ("Emulation.build: " ^ Pte_sched.Synth.error_to_string e)
-        in
-        (* the budget is a bisection estimate, so recheck the concrete
-           schedule against c1–c7 directly — soundness never rests on
-           the estimate alone *)
-        recheck_theorem1 ~what:"synthesized round schedule"
-          (Pte_sched.Schedule.worst_case_latency sched);
-        { config with transport = `Scheduled policy }
-    | `Adaptive acfg ->
-        (match Pte_net.Transport.validate_adaptive acfg with
-        | Ok () -> ()
-        | Error msg -> invalid_arg ("Emulation.build: " ^ msg));
-        (* the trial starts in the healthy sub-mode, so its bound must
-           hold outright; escalation candidates are rechecked at switch
-           time by the admission callback installed below *)
-        (match acfg.Pte_net.Transport.healthy with
-        | `Bare -> ()
-        | `Reliable tcfg ->
-            recheck_theorem1 ~what:"adaptive healthy retry budget"
-              (Pte_net.Transport.worst_case_latency tcfg
-                 ~frame_delay:(Pte_net.Star.worst_frame_delay net)));
-        (* fill unset budgets with the Theorem-1 delay budget, exactly
-           as for a static `Scheduled mode: escalation-time synthesis
-           then already refuses over-budget schedules, and the c1–c7
-           recheck below stays the final word *)
-        let budget = Pte_core.Constraints.max_delay_budget params in
-        let degraded =
-          match acfg.Pte_net.Transport.degraded.Pte_sched.Synth.budget with
-          | Some _ -> acfg.Pte_net.Transport.degraded
-          | None ->
-              { acfg.Pte_net.Transport.degraded with
-                Pte_sched.Synth.budget = Some budget }
-        in
-        let acfg =
-          match acfg.Pte_net.Transport.budget with
-          | Some _ -> { acfg with Pte_net.Transport.degraded }
-          | None ->
-              { acfg with
-                Pte_net.Transport.degraded;
-                budget = Some budget }
-        in
-        { config with transport = `Adaptive acfg }
-  in
-  let exec_config = { Executor.default_config with dt = config.dt } in
-  let engine =
-    Pte_sim.Engine.create ~config:exec_config ~net
-      ~transport:config.transport ~seed:(config.seed + 1) system
-  in
+  (match config.transport with
+  | `Bare | `Adaptive { Pte_net.Transport.healthy = `Bare; _ } -> ()
+  | `Reliable _ -> recheck "transport retry budget"
+  | `Scheduled _ -> recheck "synthesized round schedule"
+  | `Adaptive _ -> recheck "adaptive healthy retry budget");
   Patient.couple_to_ventilator engine ~ventilator:ventilator_name;
   Oximeter.connect engine ~supervisor:supervisor_name
     ~threshold:config.spo2_threshold ();
@@ -238,11 +201,6 @@ let build (config : config) =
     Option.map
       (fun dcfg -> Degraded.install engine ~supervisor:supervisor_name dcfg)
       config.degraded
-  in
-  let transport =
-    match Pte_sim.Engine.transport engine with
-    | Some t -> t
-    | None -> assert false (* the engine always gets ~net here *)
   in
   (* the safe-switch protocol's Theorem-1 recheck: a candidate mode is
      admissible iff c1–c7 survive its worst-case latency (the net layer

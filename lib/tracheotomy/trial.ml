@@ -39,9 +39,13 @@ type result = {
 let run (config : Emulation.config) : result =
   let built = Emulation.build config in
   let trace = Emulation.run built in
+  (* the engine ends on the first step at or past the horizon: analyse
+     up to where the trace really ends, or an interval still open there
+     is clipped short of its parent's *)
   let report =
     Pte_core.Monitor.analyze_system trace built.Emulation.system
-      built.Emulation.spec ~horizon:config.Emulation.horizon
+      built.Emulation.spec
+      ~horizon:(Pte_sim.Engine.time built.Emulation.engine)
   in
   let laser = built.Emulation.laser in
   let ventilator = built.Emulation.ventilator in
@@ -244,12 +248,6 @@ let table1 ?(seed = 2013) ?(reps = 1) ?workers () =
     (Array.to_list cells)
     (replicated_rows campaign full reps)
 
-(** One Table-I row: 30-minute trials at the paper's constants. *)
-let table1_row ?(reps = 1) ?workers ~lease ~e_toff ~seed () =
-  let cells = [| { Emulation.default with lease; e_toff; seed } |] in
-  let campaign, full = run_cells ?workers ~reps ~seed cells in
-  List.hd (replicated_rows campaign full reps)
-
 (** The X1 loss-rate sweep, as a single campaign: 2 cells (with/without
     lease) per loss rate, sharing a base seed like the serial original. *)
 let loss_sweep ?(reps = 1) ?workers ?(seed = 500) ?horizon ~losses () =
@@ -283,52 +281,11 @@ let loss_sweep ?(reps = 1) ?workers ?(seed = 500) ?horizon ~losses () =
   in
   List.map2 (fun loss (w, n) -> (loss, w, n)) losses (pair rows)
 
-(** The A1 availability experiment: for each average loss rate, a
-    with-lease bare cell and a with-lease reliable cell sharing a base
-    seed, so the transports face the same channel realization in
-    replicate 0. Returns [(loss, bare, reliable)] rows. *)
-let availability_sweep ?(reps = 1) ?workers ?(seed = 900) ?horizon
-    ?(transport_config = Pte_net.Transport.default_config) ~losses () =
-  let horizon =
-    Option.value horizon ~default:Emulation.default.Emulation.horizon
-  in
-  let cell ~transport i loss =
-    {
-      Emulation.default with
-      lease = true;
-      horizon;
-      seed = seed + i;
-      transport;
-      loss =
-        (if loss = 0.0 then Pte_net.Loss.Perfect
-         else Pte_net.Loss.wifi_interference ~average_loss:loss);
-    }
-  in
-  let cells =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun i loss ->
-              [
-                cell ~transport:`Bare i loss;
-                cell ~transport:(`Reliable transport_config) i loss;
-              ])
-            losses))
-  in
-  let campaign, full = run_cells ?workers ~reps ~seed cells in
-  let rows = replicated_rows campaign full reps in
-  let rec pair = function
-    | bare :: reliable :: rest -> (bare, reliable) :: pair rest
-    | [] -> []
-    | [ _ ] -> invalid_arg "Trial.availability_sweep: odd cell count"
-  in
-  List.map2 (fun loss (b, r) -> (loss, b, r)) losses (pair rows)
-
-(** The A2 availability experiment: for each average loss rate, one
-    with-lease cell per transport mode, all sharing a base seed so the
-    modes face the same channel realization in replicate 0. Returns
-    [(loss, [(label, replicated); ...])] rows in the transport order
-    given. *)
+(** The A1 and A2 availability experiments: for each average loss
+    rate, one with-lease cell per transport mode, all sharing a base
+    seed so the modes face the same channel realization in replicate 0.
+    Returns [(loss, [(label, replicated); ...])] rows in the transport
+    order given. *)
 let transport_matrix ?(reps = 1) ?workers ?(seed = 900) ?horizon ~transports
     ~losses () =
   let horizon =

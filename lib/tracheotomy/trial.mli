@@ -118,11 +118,6 @@ val table1_cells : seed:int -> (string * float * Emulation.config) array
     front-ends that drive {!run_cells} themselves (e.g. with
     checkpointing). *)
 
-val table1_row :
-  ?reps:int -> ?workers:int -> lease:bool -> e_toff:float -> seed:int ->
-  unit -> replicated
-(** One Table-I row: 30-minute trials at the paper's constants. *)
-
 val table1 :
   ?seed:int -> ?reps:int -> ?workers:int -> unit ->
   (string * float * replicated) list
@@ -137,24 +132,15 @@ val loss_sweep :
     with-lease and a without-lease cell (sharing a base seed, as the
     original serial sweep did). Returns [(loss, with, without)] rows. *)
 
-val availability_sweep :
-  ?reps:int -> ?workers:int -> ?seed:int -> ?horizon:float ->
-  ?transport_config:Pte_net.Transport.config ->
-  losses:float list -> unit ->
-  (float * replicated * replicated) list
-(** The A1 availability experiment: per loss rate, a with-lease bare
-    cell and a with-lease reliable cell sharing a base seed. Returns
-    [(loss, bare, reliable)] rows. *)
-
 val transport_matrix :
   ?reps:int -> ?workers:int -> ?seed:int -> ?horizon:float ->
   transports:(string * Pte_net.Transport.mode) list ->
   losses:float list -> unit ->
   (float * (string * replicated) list) list
-(** The A2 availability experiment: per loss rate, one with-lease cell
-    per labelled transport mode, all sharing a base seed (the modes
-    face the same channel realization in replicate 0). Rows keep the
-    transport order given. *)
+(** The A1 and A2 availability experiments: per loss rate, one
+    with-lease cell per labelled transport mode, all sharing a base
+    seed (the modes face the same channel realization in replicate 0).
+    Rows keep the transport order given. *)
 
 val pp_result : result Fmt.t
 

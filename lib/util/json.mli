@@ -13,6 +13,11 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val escape : string -> string
+(** The body of a JSON string literal (no surrounding quotes): quote,
+    backslash, [\n], [\t] and [\r] get their short escapes, every
+    other control character a [\u00XX] escape. *)
+
 val to_string : t -> string
 (** Compact, single-line encoding. Integral [Num]s print without a
     decimal point so job ids round-trip textually. *)

@@ -47,7 +47,14 @@ let test_jsonl_escaping () =
     go 0
   in
   Alcotest.(check bool) "escaped quotes" true (contains {|L\"1\"|} out);
-  Alcotest.(check bool) "no raw inner quotes" false (contains {|"L"1""|} out)
+  Alcotest.(check bool) "no raw inner quotes" false (contains {|"L"1""|} out);
+  (* control characters: the short escapes, \u00XX for the rest *)
+  let note =
+    Pte_sim.Export.to_jsonl
+      [ { Trace.time = 0.0; event = Trace.Note "a\rb\nc\001" } ]
+  in
+  Alcotest.(check bool) "carriage return" true
+    (contains {|a\rb\nc\u0001|} note)
 
 let test_csv_shape () =
   let out = Pte_sim.Export.samples_to_csv sample_trace in

@@ -139,6 +139,16 @@ let test_synthesized_n3_system_runs_safe () =
   in
   Alcotest.(check bool) "initializer ran" true (emissions >= 1)
 
+(* The engine ends on the first step past the horizon, so the monitor
+   must analyse up to that step: at this seed the laser leaves its risky
+   location at 300.01 s while the ventilator's risky interval is still
+   open, and clipping only the open interval at the nominal 300 s made
+   the laser's 289.87..300.01 look unembedded — a spurious Rule 2
+   violation (the property above hit it under QCHECK_SEED=784091284). *)
+let test_open_interval_at_horizon () =
+  let r = run_trial ~seed:72152 () in
+  Alcotest.(check int) "no PTE violation" 0 r.Pte_tracheotomy.Trial.failures
+
 let suite =
   [
     ( "integration",
@@ -155,5 +165,7 @@ let suite =
         Alcotest.test_case "trial determinism" `Quick test_trial_determinism;
         Alcotest.test_case "synthesized N=3 chain safe" `Quick
           test_synthesized_n3_system_runs_safe;
+        Alcotest.test_case "interval open at the horizon" `Quick
+          test_open_interval_at_horizon;
       ] );
   ]
