@@ -137,6 +137,8 @@ let build (config : config) =
                 budget = Some (Option.value acfg.budget ~default:budget) } }
   in
   let exec_config = { Executor.default_config with dt = config.dt } in
+  (* the transport validates its mode and synthesizes the schedule as the
+     engine creates it; its errors carry this function's name *)
   let engine =
     try
       Pte_sim.Engine.create ~config:exec_config ~net
